@@ -21,11 +21,11 @@ from .errors import (
     SingularAtFrequency,
     SlowPumpWarning,
     StepOverflow,
-    TailNotConverged,
 )
 from .linres import (
     EigenSpectrum,
     EmbeddedMatrix,
+    build_diffusion,
     build_embedded_matrix,
     disordered_eigenvalues_closed_form,
     eigenflow_sweep,
@@ -88,7 +88,7 @@ __all__ = [
     "ParameterError", "NonPositiveRate", "NegativeOccupancy", "PumpNotFast",
     "OutOfRegime", "InsufficientSamples", "SlowPumpWarning", "NumericsError",
     "InconsistentSteadyState", "EigensolverFailure", "BracketFailure",
-    "SingularAtFrequency", "TailNotConverged", "StepOverflow", "NonStationary",
+    "SingularAtFrequency", "StepOverflow", "NonStationary",
     # model
     "MemoryKernel", "SystemParams", "kernel_time", "kernel_freq",
     "kernel_freq_real", "parse_params_text", "load_params", "validate",
@@ -97,7 +97,7 @@ __all__ = [
     "frequency_shift", "steady_state", "steady_state_branch",
     "mode_amplitudes", "steady_state_residual", "phase_diagram",
     # linres
-    "EmbeddedMatrix", "EigenSpectrum", "build_embedded_matrix",
+    "EmbeddedMatrix", "EigenSpectrum", "build_embedded_matrix", "build_diffusion",
     "eigenspectrum", "disordered_eigenvalues_closed_form",
     "exceptional_point_drive", "locate_critical_drive", "eigenflow_sweep",
     # spectra

@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .errors import NumericsError, ParameterError
+from .errors import NumericsError, ParameterError, located
 from .linres import build_embedded_matrix, eigenflow_sweep, eigenspectrum
 from .meanfield import (
     Phase,
@@ -363,7 +363,7 @@ def _cmd_variances(args) -> int:
         try:
             phase, rep = _variance_report_at(args, mu, kappa, args.method)
         except NumericsError as exc:
-            raise NumericsError(f"variances at mu={mu}, kappa={kappa}: {exc}") from exc
+            raise located(exc, f"variances at mu={mu}, kappa={kappa}") from exc
         s = rep.normalized()
         return (
             mu, kappa, phase,
@@ -574,7 +574,7 @@ def _build_parser() -> _Parser:
 
     va = subs.add_parser(
         "variances",
-        help="stationary cross-quadrature variances (closed form or integrated)",
+        help="stationary cross-quadrature variances (closed form or Lyapunov covariance)",
         epilog="CSV columns: mu, kappa, phase, sigma_x_plus, sigma_x_minus, sigma_y_plus, "
         "sigma_y_minus (normalized to n_th+1/2; inf when divergent), sigma_sq (minimum, "
         "including the mixing-angle scan in the rotating phase), div_x_plus, div_x_minus, "
@@ -584,7 +584,8 @@ def _build_parser() -> _Parser:
     _add_common(va, kappa_default="1")
     va.add_argument("--mu", default="0", help="drive value or grid (default 0)")
     va.add_argument("--method", choices=("closed", "integrate", "auto"), default="auto",
-                    help="closed forms, spectral integration, or per-phase choice (default auto)")
+                    help="closed forms, Lyapunov covariance of the linearized dynamics, or "
+                    "per-phase choice (default auto)")
     va.set_defaults(func=_cmd_variances)
 
     ng = subs.add_parser(

@@ -3,7 +3,7 @@
 Two families: ParameterError for rejected inputs (bad physical parameters,
 malformed parameter files, inconsistent solver configuration) and
 NumericsError for failures of a numerical procedure on otherwise valid
-input (bracketing, eigensolver breakdown, non-convergent integrals, ...).
+input (bracketing, eigensolver breakdown, singular response, ...).
 CLI maps ParameterError -> exit 2, NumericsError -> exit 3, I/O -> exit 4.
 """
 
@@ -58,10 +58,6 @@ class SingularAtFrequency(NumericsError):
     """Response matrix is numerically singular at the requested frequency."""
 
 
-class TailNotConverged(NumericsError):
-    """Spectral integral tail estimate stayed above tolerance."""
-
-
 class OutOfRegime(ParameterError):
     """Closed-form result requested outside its regime of validity."""
 
@@ -76,3 +72,17 @@ class InsufficientSamples(ParameterError):
 
 class NonStationary(NumericsError):
     """Sampled time series failed the stationarity consistency check."""
+
+
+def located(exc: Exception, where: str) -> Exception:
+    """exc with where (a grid location) prefixed to its message.
+
+    nmpo errors keep their class and violations, so the CLI exit code is
+    unchanged; any other exception becomes a NumericsError.
+    """
+    message = f"{where}: {exc}"
+    if isinstance(exc, ParameterError):
+        return type(exc)(message, exc.violations)
+    if isinstance(exc, NumericsError):
+        return type(exc)(message)
+    return NumericsError(message)

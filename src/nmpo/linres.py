@@ -7,8 +7,8 @@ Fluctuations about the mean field are tracked in cross-quadratures
 evaluated in the frame co-rotating with the state (static frame when the
 rotation rate is zero).  With an exponential memory kernel the convolution
 is equivalent to two auxiliary memory variables per damped quadrature pair,
-giving a real embedded generator of dimension 10 (6 in the Markovian
-limit).  Variable order:
+giving a real embedded generator A of dimension 10 (6 in the Markovian
+limit), driven by white noise of diffusion D.  Variable order:
 
     (x+, x-, xP, y+, y-, yP, cx+, cx-, cy+, cy-)
 
@@ -157,6 +157,33 @@ def build_embedded_matrix(params: SystemParams, ss: SteadyState) -> EmbeddedMatr
     m[8, 7] += +dlt
     m[9, 6] += +dlt
     return EmbeddedMatrix(m, LABELS_FULL, "corotating" if dlt != 0.0 else "static")
+
+
+def build_diffusion(params: SystemParams, include_pump: bool) -> np.ndarray:
+    """White-noise diffusion D paired with the embedded generator A.
+
+    The coloured bath force is white noise 4 s^2 gamma0 / tau_r^2 (n_th + 1/2)
+    on the memory variables (s^2 gamma0 (n_th + 1/2) on the quadratures in
+    the Markovian limit), s^2 = 2 g^2 / (gamma0 gammaP); unequal occupancies
+    correlate the + and - members of each pair.  The baths are isotropic, so
+    D is frame independent.  Optional pump noise is white on xP and yP.
+    """
+    g0 = params.gamma0
+    s2 = 2.0 * params.g**2 / (g0 * params.gammaP)
+    if params.markovian:
+        n, rows, scale = 6, (0, 1, 3, 4), s2 * g0
+    else:
+        n, rows, scale = 10, (6, 7, 8, 9), 4.0 * s2 * g0 / params.tau_r**2
+    na = 0.5 * (params.n_th_i + params.n_th_s) + 0.5
+    nd = 0.5 * (params.n_th_i - params.n_th_s)
+    d = np.zeros((n, n))
+    for q in rows:
+        d[q, q] = scale * na
+    xp, xm, yp, ym = rows
+    d[xp, xm] = d[xm, xp] = d[yp, ym] = d[ym, yp] = scale * nd
+    if include_pump:
+        d[2, 2] = d[5, 5] = 2.0 * params.g**2 / g0**2 * params.gammaP * (params.n_th_P + 0.5)
+    return d
 
 
 def eigenspectrum(em: EmbeddedMatrix) -> EigenSpectrum:

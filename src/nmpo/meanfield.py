@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveRate, NumericsError, OutOfRegime
+from .errors import NonPositiveRate, OutOfRegime, located
 from .model import SystemParams, kernel_freq
 
 
@@ -185,7 +185,7 @@ def phase_diagram(
                 max_re = max(v.real for v in lam)
                 rows.append((float(mu), float(kappa), ss.phase, max_re))
             except Exception as exc:
-                raise NumericsError(
-                    f"phase diagram point (i={i}, j={j}) mu={mu}, kappa={kappa}: {exc}"
+                raise located(
+                    exc, f"phase diagram point (i={i}, j={j}) mu={mu}, kappa={kappa}"
                 ) from exc
     return rows

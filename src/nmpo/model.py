@@ -176,12 +176,7 @@ class SystemParams:
         n_th_P: float = 0.0,
     ) -> "SystemParams":
         """Build from kappa; kappa = inf gives the Markovian tau_r = 0."""
-        if not (kappa > 0):
-            raise NonPositiveRate(
-                f"kappa must be > 0, got {kappa}", [("kappa", "must be strictly positive")]
-            )
-        tau_r = 0.0 if math.isinf(kappa) else 1.0 / (gamma0 * kappa)
-        return cls(gamma0, gammaP, tau_r, g, mu, n_th_i, n_th_s, n_th_P)
+        return cls(gamma0, gammaP, _tau_r_of(gamma0, kappa), g, mu, n_th_i, n_th_s, n_th_P)
 
     @property
     def kernel(self) -> MemoryKernel:
@@ -203,13 +198,22 @@ class SystemParams:
             n_th_s=self.n_th_s,
             n_th_P=self.n_th_P,
         )
-        if "kappa" in changes:
-            kap = changes.pop("kappa")
-            changes["tau_r"] = 0.0 if math.isinf(kap) else 1.0 / (values["gamma0"] * kap)
+        kappa = changes.pop("kappa", None)
         values.update(changes)
+        if kappa is not None:
+            values["tau_r"] = _tau_r_of(values["gamma0"], kappa)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SlowPumpWarning)
             return SystemParams(**values)
+
+
+def _tau_r_of(gamma0: float, kappa: float) -> float:
+    """Memory time for kappa = 1/(gamma0 tau_r); kappa = inf gives tau_r = 0."""
+    if not (kappa > 0):
+        raise NonPositiveRate(
+            f"kappa must be > 0, got {kappa}", [("kappa", "must be strictly positive")]
+        )
+    return 0.0 if math.isinf(kappa) else 1.0 / (gamma0 * kappa)
 
 
 def _collect_violations(p) -> list[tuple[str, str, str]]:
@@ -221,8 +225,8 @@ def _collect_violations(p) -> list[tuple[str, str, str]]:
             out.append(("rate", name, f"must be strictly positive and finite, got {v}"))
     if p.tau_r < 0 or math.isnan(p.tau_r):
         out.append(("rate", "tau_r", f"must be non-negative, got {p.tau_r}"))
-    if math.isnan(p.mu) or p.mu < 0:
-        out.append(("drive", "mu", f"must be non-negative, got {p.mu}"))
+    if not (0.0 <= p.mu < math.inf):
+        out.append(("drive", "mu", f"must be non-negative and finite, got {p.mu}"))
     for name in ("n_th_i", "n_th_s", "n_th_P"):
         v = getattr(p, name)
         if v < 0 or math.isnan(v):

@@ -1,26 +1,28 @@
 """Fluctuation spectra, quadrature variances, and logarithmic negativity.
 
-Everything here works in the cross-quadrature basis
+Everything here derives from the embedded pair of linres, the drift
+generator A and its white-noise diffusion D, and is reported in the
+cross-quadrature basis (x+, x-, xP, y+, y-, yP) of the co-rotating frame of
+the supplied steady state.  With R = (-i omega - A_mm)^{-1}, eliminating the
+memory variables m gives the response matrix and the Langevin force PSD as
+Schur complements onto the quadratures p,
 
-    (x+, x-, xP, y+, y-, yP)
+    Sigma~(omega) + i omega I = A_pp + i omega I + A_pm R A_mp
+    D(omega)                  = D_pp + A_pm R D_mm R^H A_pm^T
 
-of the co-rotating frame of the supplied steady state.  The frequency-domain
-drift Sigma~(omega) replaces the memory convolution by the kernel transform
-evaluated at omega shifted by the frame rotation +-delta; the power spectral
-density is
+(in a rotating frame D(omega) correlates (x+, y-) and (x-, y+), because the
++-delta sidebands of the coloured bath are sampled unevenly), and the PSD
+S(omega) = (1/2 pi) chi D(omega) chi^H with chi = (Sigma~ + i omega I)^{-1}.
 
-    S(omega) = (1/2 pi) (Sigma~ + i omega I)^{-1} D(omega) (Sigma~^H - i omega I)^{-1}
+Equal-time variances are the stationary covariance C of the Ornstein-
+Uhlenbeck process (A, D): A C + C A^T + D = 0 (Lyapunov; Gardiner,
+Stochastic Methods).  Marginal modes (the gauge zero mode above threshold,
+the critical modes on the boundary) are projected out, and the quadratures
+they touch are reported divergent.
 
-with D(omega) the Langevin force PSD: gamma~'(omega) = Re gamma~(omega)
-weighted by (n_th + 1/2) on the damped quadratures, a flat gammaP-weighted
-entry on the pump quadratures, and, in a rotating frame, antisymmetric
-cross-correlations between (x+, y-) and (x-, y+) because the +-delta
-sidebands of the colored bath are sampled unevenly.
-
-Equal-time variances follow by integrating S over omega.  Normalized
-variances divide out the thermal scale: sigma = Var / [s^2 (n_th + 1/2)]
-with s^2 = 2 g^2/(gamma0 gammaP) the thermal variance of one quadrature of
-the scaled amplitude per unit (n_th + 1/2).
+Normalized variances divide out the thermal scale: sigma = Var / [s^2
+(n_th + 1/2)] with s^2 = 2 g^2/(gamma0 gammaP) the thermal variance of one
+quadrature of the scaled amplitude per unit (n_th + 1/2).
 
 Closed forms used for cross-validation and fast maps (kappa = 1/(gamma0
 tau_r), r = (n_th_P + 1/2)/(n_th + 1/2)):
@@ -43,17 +45,19 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad_vec
+from scipy.linalg import schur, solve_continuous_lyapunov, solve_sylvester
 
+from . import linres
 from .errors import (
+    EigensolverFailure,
     NumericsError,
     OutOfRegime,
     ParameterError,
     SingularAtFrequency,
-    TailNotConverged,
+    located,
 )
 from .meanfield import Phase, SteadyState, critical_drive, steady_state
-from .model import SystemParams, kernel_freq, kernel_freq_real
+from .model import SystemParams
 
 QUAD_LABELS = ("x+", "x-", "xP", "y+", "y-", "yP")
 VAR_LABELS = ("x+", "x-", "y+", "y-")
@@ -63,10 +67,12 @@ _VAR_INDEX = {"x+": 0, "x-": 1, "y+": 3, "y-": 4}
 SIGMA_ZPM = 0.5
 # Relative singular-value floor below which a response matrix counts as singular.
 _SINGULAR_RTOL = 1e-13
-# Accepted ratio of the analytic tail estimate to the accumulated integral.
-_TAIL_FRAC = 1e-3
-# Target tail fraction when choosing the integration half-width.
-_TAIL_TARGET = 5e-4
+# |Re lambda| / gamma0 up to which a mode can be marginal.  Absorbs the
+# sqrt(eps) splitting of a defective zero eigenvalue (about 1e-8 at kappa = 1/2).
+_MARGINAL_RE = 1e-6
+# A quadrature whose row weight in the marginal subspace exceeds this share
+# of the largest row weight is touched by a marginal mode.
+_TOUCH_FRAC = 1e-6
 
 
 def _thermal_scale(params: SystemParams) -> tuple[float, float]:
@@ -76,51 +82,39 @@ def _thermal_scale(params: SystemParams) -> tuple[float, float]:
     return s2, navg + 0.5
 
 
-def _drift_freq(params: SystemParams, ss: SteadyState, omega: float) -> np.ndarray:
-    """Frequency-domain drift Sigma~(omega), 6x6 complex."""
-    g0, gp = params.gamma0, params.gammaP
-    P = ss.pump_amp.imag
-    S = ss.amp_signal
-    dlt = ss.z2_branch * ss.delta
-    kern = params.kernel
-    g_plus = kernel_freq(kern, omega + dlt)
-    g_minus = kernel_freq(kern, omega - dlt)
-    g_c = 0.5 * (g_plus + g_minus)
-    g_s = (g_plus - g_minus) / 2j
-    gc = g0 * S / math.sqrt(2.0)
-    gpc = gp * S / math.sqrt(2.0)
-    m = np.zeros((6, 6), dtype=complex)
-    m[0, 0] = -g_c / 2 - g0 * P / 2
-    m[0, 2] = gc
-    m[0, 4] = g_s / 2 - dlt
-    m[1, 1] = -g_c / 2 + g0 * P / 2
-    m[1, 3] = g_s / 2 - dlt
-    m[2, 0] = -gpc
-    m[2, 2] = -gp / 2
-    m[3, 3] = -g_c / 2 + g0 * P / 2
-    m[3, 5] = gc
-    m[3, 1] = -g_s / 2 + dlt
-    m[4, 4] = -g_c / 2 - g0 * P / 2
-    m[4, 0] = -g_s / 2 + dlt
-    m[5, 3] = -gpc
-    m[5, 5] = -gp / 2
-    return m
+def _eliminate_memory(a: np.ndarray, omega: float) -> tuple[np.ndarray, np.ndarray]:
+    """(Sigma~(omega) + i omega I, A_pm R); the memory block of a Markovian a
+    is empty, so A_pm R is 6x0 and adds nothing."""
+    iw = 1j * omega
+    feed = a[:6, 6:] @ np.linalg.inv(-iw * np.eye(a.shape[0] - 6) - a[6:, 6:])
+    return a[:6, :6] + iw * np.eye(6) + feed @ a[6:, :6], feed
 
 
-def susceptibility_at(params: SystemParams, ss: SteadyState, omega: float) -> np.ndarray:
-    """Response matrix Sigma~(omega) + i omega I at one real frequency.
+def _force_psd(d: np.ndarray, feed: np.ndarray) -> np.ndarray:
+    """D(omega) = D_pp + A_pm R D_mm R^H A_pm^T, made exactly Hermitian."""
+    force = d[:6, :6] + feed @ d[6:, 6:] @ feed.conj().T
+    return 0.5 * (force + force.conj().T)
 
-    Raises SingularAtFrequency when the matrix is numerically singular
-    (gapless states at omega = 0, or exactly at a critical point), so the
-    integrator can route around the pole.
-    """
-    m = _drift_freq(params, ss, float(omega)) + 1j * float(omega) * np.eye(6)
+
+def _check_response(m: np.ndarray, omega: float) -> None:
     sv = np.linalg.svd(m, compute_uv=False)
     if sv[-1] < _SINGULAR_RTOL * sv[0]:
         raise SingularAtFrequency(
             f"response matrix singular at omega = {omega}: "
             f"smallest/largest singular value = {sv[-1]:.3e}/{sv[0]:.3e}"
         )
+
+
+def susceptibility_at(params: SystemParams, ss: SteadyState, omega: float) -> np.ndarray:
+    """Response matrix Sigma~(omega) + i omega I at one real frequency.
+
+    The Schur complement of the embedded generator onto the six physical
+    quadratures.  Raises SingularAtFrequency when the matrix is numerically
+    singular (gapless states at omega = 0, or exactly at a critical point);
+    the marginal-mode rule relies on this.
+    """
+    m, _ = _eliminate_memory(linres.build_embedded_matrix(params, ss).matrix, float(omega))
+    _check_response(m, omega)
     return m
 
 
@@ -138,53 +132,57 @@ class DiffusionMatrix:
     include_pump: bool
 
 
-def _diffusion(params: SystemParams, ss: SteadyState, omega: float, include_pump: bool) -> np.ndarray:
-    kern = params.kernel
-    dlt = ss.z2_branch * ss.delta
-    s2 = 2.0 * params.g**2 / (params.gamma0 * params.gammaP)
-    sp2 = 2.0 * params.g**2 / params.gamma0**2
-    gp_plus = kernel_freq_real(kern, omega + dlt)
-    gp_minus = kernel_freq_real(kern, omega - dlt)
-    dd = 0.5 * (gp_plus + gp_minus)
-    ww = 0.5 * (gp_plus - gp_minus)
-    na = 0.5 * (params.n_th_i + params.n_th_s) + 0.5
-    nd = 0.5 * (params.n_th_i - params.n_th_s)
-    d = np.zeros((6, 6), dtype=complex)
-    for q in (0, 1, 3, 4):
-        d[q, q] = s2 * na * dd
-    # Unequal signal/idler occupancies couple x+ with x- (and y+ with y-).
-    d[0, 1] = d[1, 0] = s2 * nd * dd
-    d[3, 4] = d[4, 3] = s2 * nd * dd
-    if include_pump:
-        d[2, 2] = d[5, 5] = sp2 * params.gammaP * (params.n_th_P + 0.5)
-    # Uneven sampling of the +-delta sidebands correlates orthogonal
-    # cross-quadratures; vanishes in a non-rotating frame.
-    d[0, 4] = 1j * s2 * na * ww
-    d[4, 0] = -1j * s2 * na * ww
-    d[1, 3] = 1j * s2 * na * ww
-    d[3, 1] = -1j * s2 * na * ww
-    d[0, 3] = 1j * s2 * nd * ww
-    d[3, 0] = -1j * s2 * nd * ww
-    d[1, 4] = 1j * s2 * nd * ww
-    d[4, 1] = -1j * s2 * nd * ww
-    return d
-
-
 def diffusion_matrix(
     params: SystemParams, ss: SteadyState, omega: float, include_pump: bool | None = None
 ) -> DiffusionMatrix:
     """Force PSD matrix; pump noise defaults to on above threshold only."""
     if include_pump is None:
         include_pump = ss.phase is not Phase.DISORDERED
-    return DiffusionMatrix(float(omega), _diffusion(params, ss, float(omega), include_pump), include_pump)
+    _, feed = _eliminate_memory(linres.build_embedded_matrix(params, ss).matrix, float(omega))
+    force = _force_psd(linres.build_diffusion(params, include_pump), feed)
+    return DiffusionMatrix(float(omega), force, include_pump)
 
 
-def _psd_at(params: SystemParams, ss: SteadyState, omega: float, include_pump: bool) -> np.ndarray:
-    m = susceptibility_at(params, ss, omega)
-    chi = np.linalg.inv(m)
-    d = _diffusion(params, ss, omega, include_pump)
-    s = chi @ d @ chi.conj().T / (2.0 * math.pi)
-    return 0.5 * (s + s.conj().T)
+def _marginal_rule(params: SystemParams, ss: SteadyState):
+    """Predicate on an eigenvalue (re, im): does its mode count as marginal?
+
+    Marginal needs both a real part within _MARGINAL_RE * gamma0 of zero and
+    a response matrix that is singular at the mode's frequency -im.  The
+    second condition keeps merely slow modes (a drive just below threshold)
+    finite.
+    """
+    tol = _MARGINAL_RE * params.gamma0
+
+    def is_marginal(re: float, im: float) -> bool:
+        if abs(re) > tol:
+            return False
+        try:
+            susceptibility_at(params, ss, -im)
+        except SingularAtFrequency:
+            return True
+        return False
+
+    return is_marginal
+
+
+def _marginal_projector(a: np.ndarray, is_marginal) -> tuple[np.ndarray, np.ndarray]:
+    """Real spectral projector P onto the marginal modes of a, and a mask of
+    the variables its range touches.
+
+    With the marginal block leading in the real Schur form a = Z T Z^T,
+    T11 X - X T22 = -T12 gives P = Z [[I, -X], [0, 0]] Z^T, which (unlike
+    eigenvectors) stays real when the zero eigenvalue is defective.
+    """
+    try:
+        t, z, k = schur(a, output="real", sort=is_marginal)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverFailure(f"ordered Schur form failed: {exc}") from exc
+    if k == 0:
+        return np.zeros_like(a), np.zeros(a.shape[0], dtype=bool)
+    x = solve_sylvester(t[:k, :k], -t[k:, k:], -t[:k, k:])
+    proj = z[:, :k] @ (z[:, :k].T - x @ z[:, k:].T)
+    weight = np.linalg.norm(z[:, :k], axis=1)
+    return proj, weight > _TOUCH_FRAC * weight.max()
 
 
 @dataclass(frozen=True)
@@ -193,7 +191,7 @@ class SpectralData:
 
     matrices[k] is the Hermitian 6x6 PSD at omega[k]; X and Y sectors sit in
     one matrix (block-diagonal unless the frame rotates).  covariance is the
-    integrated equal-time covariance when it has been computed.
+    equal-time covariance when it has been computed.
     """
 
     omega: np.ndarray
@@ -206,11 +204,6 @@ class SpectralData:
     covariance: np.ndarray | None = None
 
 
-def _default_halfwidth(params: SystemParams, include_pump: bool) -> float:
-    g0 = params.gamma0
-    return 30.0 * g0 + 3.0 * (params.gammaP if include_pump else g0)
-
-
 def psd(
     params: SystemParams,
     ss: SteadyState,
@@ -221,30 +214,35 @@ def psd(
 ) -> SpectralData:
     """Hermitian PSD matrices on a symmetric frequency grid.
 
-    The steady state must be stable (or marginal); gapless states are fine
-    as long as the grid avoids omega = 0 exactly, which the default even-
-    count grid does.  Pump noise defaults to off below threshold and on
-    above, matching the force model of the stochastic integrator.
+    The steady state must be stable or marginal (see _marginal_rule);
+    gapless states are fine as long as the grid avoids omega = 0 exactly,
+    which the default even-count grid does.  Pump noise defaults to off
+    below threshold and on above, matching the force model of the
+    stochastic integrator.
     """
-    from . import linres  # deferred import; linres does not depend on spectra
-
     if include_pump is None:
         include_pump = ss.phase is not Phase.DISORDERED
-    spec = linres.eigenspectrum(linres.build_embedded_matrix(params, ss))
-    if spec.max_re > linres.STABLE_TOL:
-        raise OutOfRegime(
-            f"PSD of an unstable state (spectral margin {spec.max_re:.3e}); "
-            "linearized fluctuations have no stationary spectrum"
-        )
+    em = linres.build_embedded_matrix(params, ss)
+    is_marginal = _marginal_rule(params, ss)
+    for lam in linres.eigenspectrum(em).eigenvalues:
+        if lam.real > linres.STABLE_TOL and not is_marginal(lam.real, lam.imag):
+            raise OutOfRegime(
+                f"PSD of an unstable state (growth rate {lam.real:.3e}); "
+                "linearized fluctuations have no stationary spectrum"
+            )
     if omega_grid is None:
-        w = _default_halfwidth(params, include_pump)
+        w = 30.0 * params.gamma0 + 3.0 * (params.gammaP if include_pump else params.gamma0)
         omega_grid = np.linspace(-w, w, max(2, n_grid))
     om = np.asarray(omega_grid, dtype=float)
+    d = linres.build_diffusion(params, include_pump)
     mats = np.empty((om.size, 6, 6), dtype=complex)
     for k, w_k in enumerate(om):
-        mats[k] = _psd_at(params, ss, float(w_k), include_pump)
-    frame = "corotating" if ss.delta != 0.0 else "static"
-    sd = SpectralData(om, mats, QUAD_LABELS, frame, params, ss, include_pump)
+        m, feed = _eliminate_memory(em.matrix, float(w_k))
+        _check_response(m, w_k)
+        chi = np.linalg.inv(m)
+        s = chi @ _force_psd(d, feed) @ chi.conj().T / (2.0 * math.pi)
+        mats[k] = 0.5 * (s + s.conj().T)
+    sd = SpectralData(om, mats, QUAD_LABELS, em.frame, params, ss, include_pump)
     if integrate:
         report = integrate_variances(sd)
         sd = replace(sd, covariance=report.covariance)
@@ -325,88 +323,35 @@ def _make_report(
     )
 
 
-def _divergent_indices(params: SystemParams, ss: SteadyState, include_pump: bool) -> list[int]:
-    """Diagonal entries with a double pole at omega = 0 (flagged divergent)."""
-    eps = 1e-6 * params.gamma0
-    # Extreme non-normality near phase boundaries can trip the singularity
-    # guard well away from the pole; back the probe off until it inverts.
-    for _ in range(6):
-        try:
-            d1 = np.real(np.diag(_psd_at(params, ss, eps, include_pump)))
-            d2 = np.real(np.diag(_psd_at(params, ss, 2.0 * eps, include_pump)))
-            break
-        except SingularAtFrequency:
-            eps *= 10.0
-    else:
-        d1 = np.real(np.diag(_psd_at(params, ss, eps, include_pump)))
-        d2 = np.real(np.diag(_psd_at(params, ss, 2.0 * eps, include_pump)))
-    out = []
-    for q in range(6):
-        if d1[q] > 0 and d2[q] > 0 and d1[q] / d2[q] > 3.0:
-            out.append(q)
-    return out
+def integrate_variances(sd: SpectralData) -> VarianceReport:
+    """Equal-time variances: the stationary covariance of the pair (A, D).
 
-
-def integrate_variances(sd: SpectralData, epsrel: float = 1e-8) -> VarianceReport:
-    """Equal-time variances by adaptive frequency quadrature.
-
-    The integrand is re-evaluated adaptively (the stored grid is for
-    inspection only), split at omega = 0 where gapless states are singular,
-    over [-W, W] with an analytic a/omega^2 tail correction beyond.  W grows
-    by doubling until the raw tail estimate is below 0.05% of the
-    accumulated integral; TailNotConverged if 0.1% cannot be met.  Entries
-    with a double pole at omega = 0 (the gauge quadrature x- above
-    threshold) are flagged divergent and excluded from quadrature.
+    Solves A C + C A^T + D = 0 in the embedded variables and reads the
+    cross-quadrature block; the stored PSD grid is for inspection only.
+    Marginal modes (see _marginal_rule) are removed with their real spectral projector
+    P: the solve uses A - (A + gamma0) P, which moves them to -gamma0, and
+    the projected noise (I - P) D (I - P)^T.  Quadratures touched by the
+    range of P (the gauge quadrature x- above threshold, the amplified pair
+    on the boundary) are flagged divergent: inf on the diagonal of
+    covariance, NaN in their off-diagonal entries.
     """
-    params, ss, include_pump = sd.params, sd.ss, sd.include_pump
-    divergent_idx = _divergent_indices(params, ss, include_pump)
-    kept = [q for q in range(6) if q not in divergent_idx]
-    ix = np.ix_(kept, kept)
+    params, ss = sd.params, sd.ss
+    a = linres.build_embedded_matrix(params, ss).matrix
+    d = linres.build_diffusion(params, sd.include_pump)
+    proj, touched = _marginal_projector(a, _marginal_rule(params, ss))
+    eye = np.eye(a.shape[0])
+    keep = eye - proj
+    full = solve_continuous_lyapunov(a - (a + params.gamma0 * eye) @ proj, -(keep @ d @ keep.T))
+    if not np.all(np.isfinite(full)):
+        raise NumericsError("Lyapunov solve returned a non-finite covariance")
 
-    def f(om):
-        return _psd_at(params, ss, float(om), include_pump)[ix]
-
-    w = _default_halfwidth(params, include_pump)
-    acc, _ = quad_vec(f, -w, 0.0, epsrel=epsrel, epsabs=1e-16, limit=1000)
-    pos, _ = quad_vec(f, 0.0, w, epsrel=epsrel, epsabs=1e-16, limit=1000)
-    acc = acc + pos
-
-    def tail_fraction(w_edge, acc_now):
-        t = (f(w_edge) + f(-w_edge)) * w_edge
-        diag_acc = np.abs(np.real(np.diag(acc_now)))
-        ref = diag_acc.max()
-        frac = 0.0
-        for k in range(len(kept)):
-            if diag_acc[k] > 1e-12 * ref:
-                frac = max(frac, abs(np.real(t[k, k])) / diag_acc[k])
-        return t, frac
-
-    tail, frac = tail_fraction(w, acc)
-    doublings = 0
-    while frac > _TAIL_TARGET and doublings < 8:
-        shell_pos, _ = quad_vec(f, w, 2.0 * w, epsrel=epsrel, epsabs=1e-16, limit=500)
-        shell_neg, _ = quad_vec(f, -2.0 * w, -w, epsrel=epsrel, epsabs=1e-16, limit=500)
-        acc = acc + shell_pos + shell_neg
-        w *= 2.0
-        doublings += 1
-        tail, frac = tail_fraction(w, acc)
-    if frac > _TAIL_FRAC:
-        raise TailNotConverged(
-            f"tail estimate {frac:.2e} of accumulated integral exceeds {_TAIL_FRAC:.0e} "
-            f"at half-width {w:.3g}"
-        )
-    block = np.real(acc + tail)
-
-    cov = np.full((6, 6), np.nan)
-    cov[ix] = block
-    for q in divergent_idx:
-        cov[q, q] = math.inf
+    div = np.flatnonzero(touched[:6])
+    cov = full[:6, :6].copy()
+    cov[div, :] = cov[:, div] = np.nan
+    cov[div, div] = math.inf
 
     s2, nhalf = _thermal_scale(params)
-    norm = s2 * nhalf
-    values = {}
-    for lab, q in _VAR_INDEX.items():
-        values[lab] = math.inf if q in divergent_idx else cov[q, q] / norm
+    values = {lab: cov[q, q] / (s2 * nhalf) for lab, q in _VAR_INDEX.items()}
     return _make_report(values, nhalf - 0.5, covariance=cov)
 
 
@@ -416,8 +361,10 @@ def integrate_variances(sd: SpectralData, epsrel: float = 1e-8) -> VarianceRepor
 def _check_regime_inputs(mu, kappa, n_th):
     if not (kappa > 0):
         raise ParameterError(f"kappa must be > 0, got {kappa}", [("kappa", "must be positive")])
-    if mu < 0 or math.isnan(mu):
-        raise ParameterError(f"mu must be >= 0, got {mu}", [("mu", "must be non-negative")])
+    if not (0.0 <= mu < math.inf):
+        raise ParameterError(
+            f"mu must be >= 0 and finite, got {mu}", [("mu", "must be non-negative and finite")]
+        )
     if n_th < 0:
         raise ParameterError(f"n_th must be >= 0, got {n_th}", [("n_th", "must be non-negative")])
 
@@ -491,12 +438,13 @@ def variances_above_threshold_u1(
 
 
 def variances_u1xz2(
-    params: SystemParams, ss: SteadyState | None = None, epsrel: float = 1e-8
+    params: SystemParams, ss: SteadyState | None = None
 ) -> VarianceReport:
-    """Numerically integrated variances of the rotating broken phase.
+    """Stationary variances of the rotating broken phase.
 
-    Computed from the co-rotating-frame PSD including the delta-induced
-    (x+, y-) cross-correlation; no compact closed forms exist here.  The
+    The co-rotating-frame covariance of integrate_variances, including the
+    delta-induced (x+, y-) cross-correlation; no compact closed forms exist
+    here.  The
     soft squeezing direction is found by a 64-point mixing-angle scan over
     the (x+, y-) plane refined by the exact 2x2 quadratic-form minimum, and
     reported in sigma_sq_scan / theta_sq.
@@ -506,7 +454,7 @@ def variances_u1xz2(
     if ss.phase is not Phase.U1XZ2:
         raise OutOfRegime(f"state is {ss.phase.value}, not the rotating broken phase")
     sd = psd(params, ss, n_grid=64)
-    report = integrate_variances(sd, epsrel=epsrel)
+    report = integrate_variances(sd)
     s2, nhalf = _thermal_scale(params)
     norm = s2 * nhalf
     cov = report.covariance
@@ -575,6 +523,7 @@ def _negativity_point(mu: float, kappa: float, n_th: float) -> tuple[float, floa
     integrated co-rotating variances saturate above threshold instead (see
     variances_u1xz2).
     """
+    _check_regime_inputs(mu, kappa, n_th)
     sigma_abs = (n_th + 0.5) * _sigma_sq_formula(mu, kappa)
     res = log_negativity(sigma_abs)
     return res.e_n, sigma_abs
@@ -587,16 +536,14 @@ def negativity_map(mu_grid, kappa_grid, n_th: float = 0.0) -> list[tuple[float, 
     rows give the Markovian comparator.  Per-point failures re-raise with
     the grid location.
     """
-    if n_th < 0:
-        raise ParameterError(f"n_th must be >= 0, got {n_th}", [("n_th", "must be non-negative")])
     rows = []
     for j, kappa in enumerate(np.asarray(kappa_grid, dtype=float)):
         for i, mu in enumerate(np.asarray(mu_grid, dtype=float)):
             try:
                 e_n, sig = _negativity_point(float(mu), float(kappa), n_th)
             except Exception as exc:
-                raise NumericsError(
-                    f"negativity map point (i={i}, j={j}) mu={mu}, kappa={kappa}: {exc}"
+                raise located(
+                    exc, f"negativity map point (i={i}, j={j}) mu={mu}, kappa={kappa}"
                 ) from exc
             rows.append((float(mu), float(kappa), float(n_th), e_n, sig))
     return rows

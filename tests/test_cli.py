@@ -143,6 +143,23 @@ def test_negativity_with_comparator(capsys):
     assert lut[("1", "inf", "0")] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (("phase-diagram", "--mu", "0:1:3", "--kappa", "1,-1"), "NonPositiveRate"),
+        (("phase-diagram", "--mu", "0:1:3", "--kappa", "1,0"), "NonPositiveRate"),
+        (("negativity", "--mu", "0.5", "--kappa", "1,-1"), "ParameterError"),
+        (("variances", "--mu", "inf", "--kappa", "1"), "ParameterError"),
+        (("steady-state", "--mu", "inf"), "ParameterError"),
+    ],
+)
+def test_invalid_grid_points_exit_2_with_their_error_class(capsys, argv, error):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err)["error"] == error
+
+
 def test_negativity_comparator_needs_scalar_kappa(capsys):
     rc, _, err = run(capsys, "negativity", "--kappa", "0.2,1.0", "--mu", "1",
                      "--markovian-comparator")

@@ -163,6 +163,22 @@ def test_replace_updates_fields():
     assert s.markovian
 
 
+def test_replace_kappa_uses_the_new_gamma0():
+    p = SystemParams(gamma0=1.0, gammaP=100.0, tau_r=1.0, g=0.01, mu=0.3)
+    q = p.replace(gamma0=2.0, gammaP=200.0, kappa=1.0)
+    assert q.kappa == pytest.approx(1.0, rel=1e-12)
+    assert q.tau_r == pytest.approx(0.5, rel=1e-12)
+    with pytest.raises(NonPositiveRate):
+        p.replace(kappa=0.0)
+
+
+@pytest.mark.parametrize("mu", [math.inf, math.nan])
+def test_non_finite_drive_rejected(mu):
+    with pytest.raises(ParameterError) as err:
+        SystemParams(gamma0=1.0, gammaP=100.0, tau_r=1.0, g=0.01, mu=mu)
+    assert [f for f, _ in err.value.violations] == ["mu"]
+
+
 # === parameter file parsing ===================================================
 
 GOOD_TEXT = """

@@ -1,11 +1,16 @@
 """Noise spectra, integrated variances, closed forms, and negativity."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from nmpo.errors import OutOfRegime, SingularAtFrequency
+import nmpo
+import spectral_oracle as oracle
+from nmpo.errors import OutOfRegime, ParameterError, SingularAtFrequency
 from nmpo.meanfield import Phase, steady_state, steady_state_branch
 from nmpo.model import SystemParams
 from nmpo.spectra import (
@@ -22,10 +27,11 @@ from nmpo.spectra import (
 )
 
 
-def params(mu, kappa, gammaP=100.0, nth=0.0, nth_p=None):
+def params(mu, kappa, gammaP=100.0, nth=0.0, nth_p=None, nth_s=None):
     return SystemParams.from_kappa(
         gamma0=1.0, gammaP=gammaP, kappa=kappa, g=0.01, mu=mu,
-        n_th_i=nth, n_th_s=nth, n_th_P=nth if nth_p is None else nth_p,
+        n_th_i=nth, n_th_s=nth if nth_s is None else nth_s,
+        n_th_P=nth if nth_p is None else nth_p,
     )
 
 
@@ -185,6 +191,92 @@ def test_integrated_variances_u1_goldstone_flagged():
     assert rep.sigma_x_plus == pytest.approx(7.0 / 10.0, rel=1e-3)
 
 
+# === the (A, D) route against the frequency-domain reference ==================
+
+# (mu, kappa, extra params): rotating, static, Markovian, boundary (kappa = 1/2)
+# and thermal frames, with unequal idler/signal and pump occupancies.
+ORACLE_POINTS = [
+    (1.0, 0.2, {}),
+    (1.5, 0.2, {"nth": 0.4}),
+    (1.0, 0.3, {"nth": 0.3, "nth_s": 0.9}),
+    (0.5, 0.7, {"nth": 0.3, "nth_s": 0.9}),
+    (2.0, 1.0, {"nth": 0.5, "nth_p": 2.0}),
+    (0.5, math.inf, {}),
+    (2.0, math.inf, {"nth": 1.0, "nth_p": 0.0}),
+    (1.0, 0.5, {}),
+    (1.1, 0.5, {}),
+    (1.9, 0.5, {}),
+]
+
+
+@pytest.mark.parametrize("mu,kappa,extra", ORACLE_POINTS)
+def test_schur_complements_match_frequency_domain_forms(mu, kappa, extra):
+    p = params(mu, kappa, **extra)
+    ss = steady_state(p)
+    for w in (-3.0, -0.4, 0.1, 0.77, 5.0):
+        chi_inv = oracle.drift_freq(p, ss, w) + 1j * w * np.eye(6)
+        assert np.max(np.abs(susceptibility_at(p, ss, w) - chi_inv)) < 1e-14
+        for pump in (False, True):
+            want = oracle.force_psd(p, ss, w, pump)
+            got = diffusion_matrix(p, ss, w, include_pump=pump).matrix
+            assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("mu,kappa,extra", ORACLE_POINTS)
+def test_lyapunov_covariance_matches_quadrature_oracle(mu, kappa, extra):
+    p = params(mu, kappa, **extra)
+    ss = steady_state(p)
+    sd = psd(p, ss, n_grid=8)
+    rep = variances_u1xz2(p) if ss.phase is Phase.U1XZ2 else integrate_variances(sd)
+    flagged = [q for q in range(6) if math.isinf(rep.covariance[q, q])]
+    ref = oracle.quadrature_covariance(p, ss, sd.include_pump, exclude=flagged)
+    # below threshold the pump quadratures carry no noise at all
+    kept = [q for q in range(6) if q not in flagged and ref[q, q] > 0]
+    got = rep.covariance[np.ix_(kept, kept)]
+    want = ref[np.ix_(kept, kept)]
+    # relative to the diagonal scale, so near-zero cross terms are compared fairly
+    scale = np.sqrt(np.outer(np.diag(want), np.diag(want)))
+    assert np.max(np.abs(got - want) / scale) < 1e-4
+    if ss.phase is Phase.U1XZ2:
+        assert abs(want[kept.index(0), kept.index(4)]) > 1e-3 * scale[kept.index(0), kept.index(4)]
+
+
+def test_rotating_threshold_and_defective_zero_mode():
+    # threshold of the rotating regime: marginal pair at +-delta, amplified
+    # quadratures divergent, squeezed pair at its closed form
+    p = params(0.4, 0.2)
+    rep = integrate_variances(psd(p, steady_state(p), n_grid=64))
+    assert rep.sigma_x_plus == pytest.approx(0.4 / (1.4 * 0.8), rel=1e-9)
+    assert rep.sigma_y_minus == pytest.approx(0.4 / (1.4 * 0.8), rel=1e-9)
+    assert rep.divergent == {"x+": False, "x-": True, "y+": True, "y-": False}
+    # kappa = 1/2: the defective zero mode splits by ~1e-8 and is still marginal
+    p = params(1.9, 0.5)
+    rep = integrate_variances(psd(p, steady_state(p), n_grid=64))
+    assert rep.divergent == {"x+": False, "x-": True, "y+": False, "y-": False}
+    assert rep.sigma_x_plus == pytest.approx(0.66133, rel=1e-4)
+    assert rep.sigma_y_plus == pytest.approx(1.88308, rel=1e-4)
+    assert rep.sigma_y_minus == pytest.approx(0.25, rel=1e-9)
+
+
+def test_near_threshold_states_finite_below_flagged_above():
+    below = params(1.0 - 1e-9, 1.0)
+    rep = integrate_variances(psd(below, steady_state(below), n_grid=64))
+    assert not any(rep.divergent.values())
+    assert rep.sigma_x_minus > 1e9 and rep.sigma_y_plus > 1e9
+    above = params(1.0 + 1e-9, 1.0)
+    rep = integrate_variances(psd(above, steady_state(above), n_grid=64))
+    assert rep.divergent == {"x+": False, "x-": True, "y+": True, "y-": False}
+    assert rep.sigma_y_minus == pytest.approx(1.0 / 3.0, rel=1e-6)
+
+
+def test_cli_import_leaves_out_spectral_quadrature():
+    code = "import sys, nmpo.cli; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nmpo.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
 # === closed forms =============================================================
 
 
@@ -316,6 +408,12 @@ def test_negativity_memory_threshold_value():
 def test_negativity_validation():
     with pytest.raises(Exception):
         log_negativity(-0.1)
+
+
+@pytest.mark.parametrize("mu,kappa", [(0.5, -0.1), (0.5, 0.0), (math.inf, 0.2), (-1.0, 0.2)])
+def test_negativity_map_rejects_invalid_points(mu, kappa):
+    with pytest.raises(ParameterError, match="negativity map point"):
+        negativity_map([0.1, mu], [1.0, kappa])
 
 
 # === negativity sweeps ========================================================
