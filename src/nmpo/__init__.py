@@ -61,7 +61,9 @@ from .sde import (
     Trajectory,
     estimate_order_parameters,
     estimate_quadrature_variances,
+    integrate_ensemble,
     integrate_trajectory,
+    lockstep_key,
     ou_noise_step,
 )
 from .spectra import (
@@ -108,6 +110,6 @@ __all__ = [
     "negativity_occupancy_sweep",
     # sde
     "SimConfig", "Trajectory", "OrderParameterEstimate", "ou_noise_step",
-    "integrate_trajectory", "estimate_order_parameters",
-    "estimate_quadrature_variances",
+    "integrate_trajectory", "integrate_ensemble", "lockstep_key",
+    "estimate_order_parameters", "estimate_quadrature_variances",
 ]

@@ -11,6 +11,7 @@ diagnostics on stderr), 3 numerical failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -30,12 +31,14 @@ from .meanfield import (
     steady_state,
     steady_state_residual,
 )
-from .model import SystemParams
+from .model import SystemParams, kappa_of
 from .sde import (
     SimConfig,
     estimate_order_parameters,
     estimate_quadrature_variances,
+    integrate_ensemble,
     integrate_trajectory,
+    lockstep_key,
 )
 from .spectra import (
     integrate_variances,
@@ -112,10 +115,7 @@ def _pmap(fn, items):
 
 def _kappa_values(args, name="--kappa") -> np.ndarray:
     if getattr(args, "tau_r", None) is not None:
-        tau = args.tau_r
-        if tau == 0:
-            return np.array([math.inf])
-        return np.array([1.0 / (args.gamma0 * tau)])
+        return np.array([kappa_of(args.gamma0, args.tau_r)])
     return _parse_values(args.kappa, name)
 
 
@@ -457,13 +457,24 @@ def _cmd_simulate(args) -> int:
             noise=not args.no_noise,
         )
 
-    results = []
+    # Build and check every row before integrating any.
+    rows = []
     for i, kappa in enumerate(kappa_values):
         p = _params_at(args, args.mu, float(kappa))
         cfg = config_for(p, args.seed + i)
-        traj = integrate_trajectory(p, cfg)
-        est = estimate_order_parameters(traj)
-        results.append((float(kappa), cfg, traj, est))
+        cfg.check_against(p)
+        rows.append((p, cfg))
+    # Runs of neighbouring rows that can share a step loop integrate in
+    # lockstep; a run of one row is integrated alone.
+    estimated = []
+    for _, run in itertools.groupby(rows, key=lambda row: lockstep_key(*row)):
+        run = list(run)
+        trajs = integrate_ensemble(run) if len(run) > 1 else [integrate_trajectory(*run[0])]
+        estimated += [(traj, estimate_order_parameters(traj)) for traj in trajs]
+    results = [
+        (float(kappa), cfg, traj, est)
+        for kappa, (_, cfg), (traj, est) in zip(kappa_values, rows, estimated)
+    ]
 
     if single:
         kappa, cfg, traj, est = results[0]

@@ -159,8 +159,7 @@ class SystemParams:
                 SlowPumpWarning,
                 stacklevel=2,
             )
-        kappa = math.inf if self.tau_r == 0.0 else 1.0 / (self.gamma0 * self.tau_r)
-        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "kappa", kappa_of(self.gamma0, self.tau_r))
         object.__setattr__(self, "F_cr", self.gamma0 * self.gammaP / (4.0 * self.g))
 
     @classmethod
@@ -207,8 +206,22 @@ class SystemParams:
             return SystemParams(**values)
 
 
+def _check_gamma0(gamma0: float) -> None:
+    if not (gamma0 > 0):
+        raise NonPositiveRate(
+            f"gamma0 must be > 0, got {gamma0}", [("gamma0", "must be strictly positive")]
+        )
+
+
+def kappa_of(gamma0: float, tau_r: float) -> float:
+    """kappa = 1/(gamma0 tau_r); tau_r = 0 gives the Markovian kappa = inf."""
+    _check_gamma0(gamma0)
+    return math.inf if tau_r == 0.0 else 1.0 / (gamma0 * tau_r)
+
+
 def _tau_r_of(gamma0: float, kappa: float) -> float:
     """Memory time for kappa = 1/(gamma0 tau_r); kappa = inf gives tau_r = 0."""
+    _check_gamma0(gamma0)
     if not (kappa > 0):
         raise NonPositiveRate(
             f"kappa must be > 0, got {kappa}", [("kappa", "must be strictly positive")]

@@ -20,9 +20,18 @@ s^2 gamma0 (n_th + 1/2) dt with s^2 = 2 g^2/(gamma0 gammaP).  Pump noise is
 white with per-quadrature variance sP^2 gammaP (n_th_P + 1/2) dt,
 sP^2 = 2 g^2/gamma0^2, and is off below threshold by default.
 
-Trajectories integrate in vectorized lockstep from a single seeded
-generator with a fixed draw order, so identical (seed, config, params) give
-bit-identical output.
+The step loop holds one stacked complex state x, rows (A_i, A_s, A_P,
+c_i, c_s) with memory and (A_i, A_s, A_P) in the Markovian limit, and the
+two colored forces in f; columns are trajectories ("lanes").  Markovian and
+memory rows, Heun and Euler-Maruyama, share that one loop.  Each row's noise
+is drawn BLOCK steps at a time from its own generator seeded by its config,
+in the same order as one draw per step, and recorded samples go into
+preallocated buffers.  integrate_ensemble steps several rows together, such
+as the points of a kappa sweep: their lanes sit side by side and the
+per-row values (tau_r, OU decay, noise amplitudes) are lane vectors.
+integrate_trajectory is the one-row case.  Every elementwise expression
+keeps a fixed operand order, so identical (seed, config, params) give
+bit-identical output whether a row runs alone or in an ensemble.
 """
 
 from __future__ import annotations
@@ -51,6 +60,11 @@ _DT_FACTOR = 20.0
 _BURN_FACTOR = 20.0
 # Steps between finiteness checks.
 _OVERFLOW_CHECK = 256
+# Steps of noise drawn per generator call.
+BLOCK = 32
+# Rows of the stacked state x and of the forces f holding each recordable field.
+_X_ROWS = {"A_i": 0, "A_s": 1, "A_P": 2, "c_i": 3, "c_s": 4}
+_F_ROWS = {"f_i": 0, "f_s": 1}
 
 
 @dataclass(frozen=True)
@@ -162,28 +176,55 @@ def _as_state(value, n_traj: int) -> np.ndarray:
     return arr.copy()
 
 
-def integrate_trajectory(
-    params: SystemParams, config: SimConfig, initial: dict | None = None
-) -> Trajectory:
-    """Integrate the full nonlinear system; returns post-burn-in samples.
+def _steps(span: float, dt: float) -> int:
+    return int(round(span / dt))
 
-    initial may give starting values for any of A_i, A_s, A_P, c_i, c_s,
-    f_i, f_s (scalar or per-trajectory); unspecified amplitudes start as a
-    small seeded random perturbation, memory variables slaved (c = gamma0 A)
-    and forces at zero.  Raises StepOverflow on non-finite state.
+
+def lockstep_key(params: SystemParams, config: SimConfig) -> tuple:
+    """Rows with equal keys can be integrated together by integrate_ensemble.
+
+    The key holds everything the shared step loop treats as one value: the
+    step plan, the scheme, the noise switch, the recorded fields, whether
+    the row has memory, and the rates and drive that enter the drift.
     """
+    dt = config.dt
+    return (
+        dt,
+        _steps(config.t_burn, dt),
+        _steps(config.t_sample, dt),
+        config.record_stride,
+        config.scheme,
+        config.noise,
+        tuple(config.record_fields),
+        params.markovian,
+        params.gamma0,
+        params.gammaP,
+        params.mu,
+    )
+
+
+@dataclass
+class _Row:
+    """One row's generator, starting state and noise amplitudes."""
+
+    rng: np.random.Generator
+    x: np.ndarray  # (5, n_traj) with memory, (3, n_traj) Markovian
+    f: np.ndarray | None  # (2, n_traj) colored forces; None when Markovian
+    amp: tuple[float, float, float]  # noise scale of the f_i, f_s (or A_i, A_s) and A_P rows
+    decay: float  # OU decay per step; 0 when Markovian
+    pumped: bool
+
+
+def _start_row(params: SystemParams, config: SimConfig, initial: dict | None) -> _Row:
     config.check_against(params)
     rng = np.random.default_rng(config.seed)
     n_traj = config.n_traj
-    g0, gp, mu, tau = params.gamma0, params.gammaP, params.mu, params.tau_r
+    g0, gp, tau = params.gamma0, params.gammaP, params.tau_r
     markov = params.markovian
-    heun = config.scheme == "stochastic-heun"
     noise = config.noise
     pump_noise = config.pump_noise
     if pump_noise is None:
-        pump_noise = classify_phase(mu, params.kappa) is not Phase.DISORDERED
-    s2 = 2.0 * params.g**2 / (g0 * gp)
-    sp2 = 2.0 * params.g**2 / g0**2
+        pump_noise = classify_phase(params.mu, params.kappa) is not Phase.DISORDERED
     dt = config.dt
 
     initial = dict(initial or {})
@@ -200,149 +241,185 @@ def integrate_trajectory(
     )
     A_P = _as_state(initial.pop("A_P"), n_traj) if "A_P" in initial else np.zeros(n_traj, complex)
     if markov:
-        c_i = c_s = f_i = f_s = None
+        x, f = np.stack([A_i, A_s, A_P]), None
         for key in ("c_i", "c_s", "f_i", "f_s"):
             if key in initial:
                 raise ParameterError(
                     f"{key} has no meaning in the Markovian limit", [(key, "tau_r = 0")]
                 )
     else:
-        c_i = _as_state(initial.pop("c_i"), n_traj) if "c_i" in initial else g0 * A_i.copy()
-        c_s = _as_state(initial.pop("c_s"), n_traj) if "c_s" in initial else g0 * A_s.copy()
+        c_i = _as_state(initial.pop("c_i"), n_traj) if "c_i" in initial else g0 * A_i
+        c_s = _as_state(initial.pop("c_s"), n_traj) if "c_s" in initial else g0 * A_s
         f_i = _as_state(initial.pop("f_i"), n_traj) if "f_i" in initial else np.zeros(n_traj, complex)
         f_s = _as_state(initial.pop("f_s"), n_traj) if "f_s" in initial else np.zeros(n_traj, complex)
+        x, f = np.stack([A_i, A_s, A_P, c_i, c_s]), np.stack([f_i, f_s])
     if initial:
         raise ParameterError(
             f"unknown initial-state keys {sorted(initial)}", [("initial", "unknown keys")]
         )
+    if markov:
+        for k in config.record_fields:
+            if k not in ("A_i", "A_s", "A_P"):
+                raise ParameterError(
+                    f"cannot record {k!r} in the Markovian limit",
+                    [("record_fields", f"{k} absent for tau_r = 0")],
+                )
 
     # Noise amplitudes: colored OU for the damped modes (exact update), white
     # for the Markovian limit and for the pump.
     n_avg_i, n_avg_s = params.n_th_i, params.n_th_s
-    if not markov:
-        c0_i = (8.0 * params.g**2 / (g0**2 * gp * tau)) * (n_avg_i + 0.5) if noise else 0.0
-        c0_s = (8.0 * params.g**2 / (g0**2 * gp * tau)) * (n_avg_s + 0.5) if noise else 0.0
-        ou_decay = math.exp(-dt / tau)
-        eta_i = math.sqrt(max(c0_i * (1.0 - ou_decay**2), 0.0) / 2.0)
-        eta_s = math.sqrt(max(c0_s * (1.0 - ou_decay**2), 0.0) / 2.0)
-    else:
+    s2 = 2.0 * params.g**2 / (g0 * gp)
+    sp2 = 2.0 * params.g**2 / g0**2
+    w_p = math.sqrt(sp2 * gp * (params.n_th_P + 0.5) * dt) if (noise and pump_noise) else 0.0
+    if markov:
         w_i = math.sqrt(s2 * g0 * (n_avg_i + 0.5) * dt) if noise else 0.0
         w_s = math.sqrt(s2 * g0 * (n_avg_s + 0.5) * dt) if noise else 0.0
-    w_p = math.sqrt(sp2 * gp * (params.n_th_P + 0.5) * dt) if (noise and pump_noise) else 0.0
+        return _Row(rng, x, f, (w_i, w_s, w_p), 0.0, pump_noise)
+    c0_i = (8.0 * params.g**2 / (g0**2 * gp * tau)) * (n_avg_i + 0.5) if noise else 0.0
+    c0_s = (8.0 * params.g**2 / (g0**2 * gp * tau)) * (n_avg_s + 0.5) if noise else 0.0
+    ou_decay = math.exp(-dt / tau)
+    eta_i = math.sqrt(max(c0_i * (1.0 - ou_decay**2), 0.0) / 2.0)
+    eta_s = math.sqrt(max(c0_s * (1.0 - ou_decay**2), 0.0) / 2.0)
+    return _Row(rng, x, f, (eta_i, eta_s, w_p), ou_decay, pump_noise)
 
-    n_burn = int(round(config.t_burn / dt))
-    n_samp = int(round(config.t_sample / dt))
+
+def integrate_trajectory(
+    params: SystemParams, config: SimConfig, initial: dict | None = None
+) -> Trajectory:
+    """Integrate the full nonlinear system; returns post-burn-in samples.
+
+    initial may give starting values for any of A_i, A_s, A_P, c_i, c_s,
+    f_i, f_s (scalar or per-trajectory); unspecified amplitudes start as a
+    small seeded random perturbation, memory variables slaved (c = gamma0 A)
+    and forces at zero.  Raises StepOverflow on non-finite state.  This is
+    the one-row case of integrate_ensemble's step loop.
+    """
+    return _integrate([(params, config)], [initial])[0]
+
+
+def integrate_ensemble(rows) -> list[Trajectory]:
+    """Integrate several (params, config) rows in lockstep, one Trajectory each.
+
+    Every row must have the same lockstep_key.  Each row keeps its own
+    generator seeded from its config, so row r is bit-identical to
+    integrate_trajectory(*rows[r]).  A StepOverflow names the step of the
+    first overflowing row in row order, as integrating the rows one after
+    another would.
+    """
+    rows = list(rows)
+    return _integrate(rows, [None] * len(rows))
+
+
+def _integrate(rows, initials) -> list[Trajectory]:
+    if not rows:
+        return []
+    if len({lockstep_key(p, c) for p, c in rows}) > 1:
+        raise ParameterError(
+            "rows differ in step plan, scheme, noise, recorded fields, memory or drift "
+            "parameters and cannot be integrated in lockstep",
+            [("rows", "not lockstep-compatible")],
+        )
+    starts = [_start_row(p, c, init) for (p, c), init in zip(rows, initials)]
+    params, config = rows[0]
+    g0, gp, mu, dt = params.gamma0, params.gammaP, params.mu, config.dt
+    markov = params.markovian
+    heun = config.scheme == "stochastic-heun"
+    noise = config.noise
+    n_burn, n_samp = _steps(config.t_burn, dt), _steps(config.t_sample, dt)
     stride = config.record_stride
-    record = config.record_fields
-    out = {k: [] for k in record}
-    t_rec = []
-
-    def drift(ai, as_, ap, ci, cs, fi, fs):
-        d_ai = 0.5 * (-ci + 1j * g0 * (np.conj(as_) * ap + fi))
-        d_as = 0.5 * (-cs + 1j * g0 * (np.conj(ai) * ap + fs))
-        d_ap = 0.5 * gp * (-ap + 1j * (ai * as_ + mu))
-        d_ci = (g0 * ai - ci) / tau
-        d_cs = (g0 * as_ - cs) / tau
-        return d_ai, d_as, d_ap, d_ci, d_cs
-
-    def drift_mk(ai, as_, ap):
-        d_ai = 0.5 * (-g0 * ai + 1j * g0 * np.conj(as_) * ap)
-        d_as = 0.5 * (-g0 * as_ + 1j * g0 * np.conj(ai) * ap)
-        d_ap = 0.5 * gp * (-ap + 1j * (ai * as_ + mu))
-        return d_ai, d_as, d_ap
-
-    local: dict[str, np.ndarray | None] = {}
     total = n_burn + n_samp
+
+    # Trajectories of all rows side by side along the lane axis; per-row
+    # values become lane vectors.
+    sizes = [c.n_traj for _, c in rows]
+    edges = np.cumsum([0] + sizes)
+    n_lanes = int(edges[-1])
+    x = np.concatenate([s.x for s in starts], axis=1)
+    f = f_new = None if markov else np.concatenate([s.f for s in starts], axis=1)
+    tau = np.repeat([p.tau_r for p, _ in rows], sizes)
+    decay = np.repeat([s.decay for s in starts], sizes)
+    # White noise drives A_i, A_s, A_P when Markovian and A_P only with
+    # memory; rows without pump noise get exact zeros there.
+    white = slice(0, 3) if markov else slice(2, 3)
+    width = 6 if markov or any(s.pumped for s in starts) else 4
+    white_noise = noise and width == 6
+    amp = np.repeat(np.array([s.amp[: width // 2] for s in starts]).T, sizes, axis=1)
+    z = np.zeros((BLOCK, width, n_lanes)) if noise else None
+
+    def draw(k: int) -> np.ndarray:
+        """Complex noise increments of the next k steps, (k, width // 2, lanes)."""
+        for s, lo, hi in zip(starts, edges[:-1], edges[1:]):
+            w = 6 if markov or s.pumped else 4
+            z[:k, :w, lo:hi] = s.rng.standard_normal((k, w, hi - lo))
+            if w == 6 and not s.pumped:
+                z[:k, 4:, lo:hi] = 0.0
+        return amp * (z[:k, 0::2] + 1j * z[:k, 1::2])
+
+    def drift(x, f):
+        d = np.empty_like(x)
+        swapped = np.conj(x[1::-1])
+        if markov:
+            np.multiply(0.5, -g0 * x[:2] + 1j * g0 * swapped * x[2], out=d[:2])
+        else:
+            np.multiply(0.5, -x[3:] + 1j * g0 * (swapped * x[2] + f), out=d[:2])
+            np.divide(g0 * x[:2] - x[3:], tau, out=d[3:])
+        np.multiply(0.5 * gp, -x[2] + 1j * (x[0] * x[1] + mu), out=d[2])
+        return d
+
+    # Each row records into its own buffers, so no copy is made at the end.
+    n_rec = n_samp // stride
+    buffers = [
+        {k: np.empty((n_rec, c.n_traj), complex) for k in config.record_fields} for _, c in rows
+    ]
+    sources = [
+        (buf, k in _X_ROWS, _X_ROWS.get(k, _F_ROWS.get(k)), slice(lo, hi))
+        for bufs, lo, hi in zip(buffers, edges[:-1], edges[1:])
+        for k, buf in bufs.items()
+    ]
+    failed: dict[int, int] = {}  # row -> first step seen non-finite
     # Overflow en route to the StepOverflow check is deliberate; keep
     # numpy from spraying per-operation warnings about it.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(total):
+            j = step % BLOCK
+            if noise and j == 0:
+                increments = draw(min(BLOCK, total - step))
             if not markov:
-                f_i_new = f_i * ou_decay
-                f_s_new = f_s * ou_decay
-                if noise:
-                    z = rng.standard_normal((4, n_traj))
-                    f_i_new = f_i_new + eta_i * (z[0] + 1j * z[1])
-                    f_s_new = f_s_new + eta_s * (z[2] + 1j * z[3])
-                dW_P = 0.0
-                if noise and w_p:
-                    zp = rng.standard_normal((2, n_traj))
-                    dW_P = w_p * (zp[0] + 1j * zp[1])
-                k1 = drift(A_i, A_s, A_P, c_i, c_s, f_i, f_s)
-                if not heun:
-                    A_i = A_i + k1[0] * dt
-                    A_s = A_s + k1[1] * dt
-                    A_P = A_P + k1[2] * dt + dW_P
-                    c_i = c_i + k1[3] * dt
-                    c_s = c_s + k1[4] * dt
-                else:
-                    p = (
-                        A_i + k1[0] * dt,
-                        A_s + k1[1] * dt,
-                        A_P + k1[2] * dt + dW_P,
-                        c_i + k1[3] * dt,
-                        c_s + k1[4] * dt,
-                    )
-                    k2 = drift(p[0], p[1], p[2], p[3], p[4], f_i_new, f_s_new)
-                    A_i = A_i + 0.5 * (k1[0] + k2[0]) * dt
-                    A_s = A_s + 0.5 * (k1[1] + k2[1]) * dt
-                    A_P = A_P + 0.5 * (k1[2] + k2[2]) * dt + dW_P
-                    c_i = c_i + 0.5 * (k1[3] + k2[3]) * dt
-                    c_s = c_s + 0.5 * (k1[4] + k2[4]) * dt
-                f_i, f_s = f_i_new, f_s_new
+                f_new = f * decay + increments[j, :2] if noise else f * decay
+            dW = increments[j, white] if white_noise else 0.0
+            k1 = drift(x, f)
+            if heun:
+                p = x + k1 * dt
+                p[white] += dW
+                k2 = drift(p, f_new)
+                x = x + 0.5 * (k1 + k2) * dt
             else:
-                dW_i = dW_s = dW_P = 0.0
-                if noise:
-                    z = rng.standard_normal((6, n_traj))
-                    dW_i = w_i * (z[0] + 1j * z[1])
-                    dW_s = w_s * (z[2] + 1j * z[3])
-                    if w_p:
-                        dW_P = w_p * (z[4] + 1j * z[5])
-                k1 = drift_mk(A_i, A_s, A_P)
-                if not heun:
-                    A_i = A_i + k1[0] * dt + dW_i
-                    A_s = A_s + k1[1] * dt + dW_s
-                    A_P = A_P + k1[2] * dt + dW_P
-                else:
-                    p = (A_i + k1[0] * dt + dW_i, A_s + k1[1] * dt + dW_s, A_P + k1[2] * dt + dW_P)
-                    k2 = drift_mk(*p)
-                    A_i = A_i + 0.5 * (k1[0] + k2[0]) * dt + dW_i
-                    A_s = A_s + 0.5 * (k1[1] + k2[1]) * dt + dW_s
-                    A_P = A_P + 0.5 * (k1[2] + k2[2]) * dt + dW_P
+                x = x + k1 * dt
+            x[white] += dW
+            f = f_new
 
             if (step + 1) % _OVERFLOW_CHECK == 0 or step == total - 1:
-                if not (np.all(np.isfinite(A_i.real)) and np.all(np.isfinite(A_P.real))):
-                    raise StepOverflow(
-                        f"non-finite state at step {step + 1} (t = {(step + 1) * dt:.4g}); "
-                        "reduce dt"
-                    )
+                finite = np.isfinite(x[0].real) & np.isfinite(x[2].real)
+                if not finite.all():
+                    for r, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+                        if r not in failed and not finite[lo:hi].all():
+                            failed[r] = step + 1
+                    if 0 in failed:
+                        break
             k_rel = step + 1 - n_burn
             if k_rel >= 1 and k_rel % stride == 0:
-                local["A_i"], local["A_s"], local["A_P"] = A_i, A_s, A_P
-                local["c_i"], local["c_s"] = c_i, c_s
-                local["f_i"], local["f_s"] = f_i, f_s
-                for k in record:
-                    if local[k] is None:
-                        raise ParameterError(
-                            f"cannot record {k!r} in the Markovian limit",
-                            [("record_fields", f"{k} absent for tau_r = 0")],
-                        )
-                    out[k].append(local[k].copy())
-                t_rec.append(k_rel * dt)
+                i = k_rel // stride - 1
+                for buf, in_x, row, lanes in sources:
+                    buf[i] = x[row, lanes] if in_x else f[row, lanes]
+    if failed:
+        at = failed[min(failed)]
+        raise StepOverflow(f"non-finite state at step {at} (t = {at * dt:.4g}); reduce dt")
 
-    series = {k: np.asarray(v) for k, v in out.items()}
-    return Trajectory(
-        t=np.asarray(t_rec),
-        A_i=series.get("A_i"),
-        A_s=series.get("A_s"),
-        A_P=series.get("A_P"),
-        c_i=series.get("c_i"),
-        c_s=series.get("c_s"),
-        f_i=series.get("f_i"),
-        f_s=series.get("f_s"),
-        params=params,
-        config=config,
-    )
+    t = np.arange(stride, n_samp + 1, stride) * dt
+    return [
+        Trajectory(t=t, params=p, config=c, **{k: bufs.get(k) for k in RECORDABLE})
+        for (p, c), bufs in zip(rows, buffers)
+    ]
 
 
 # === estimators ===============================================================

@@ -42,6 +42,7 @@ values of the same expressions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -525,8 +526,14 @@ def _negativity_point(mu: float, kappa: float, n_th: float) -> tuple[float, floa
     """
     _check_regime_inputs(mu, kappa, n_th)
     sigma_abs = (n_th + 0.5) * _sigma_sq_formula(mu, kappa)
-    res = log_negativity(sigma_abs)
-    return res.e_n, sigma_abs
+    if sigma_abs < sys.float_info.min:
+        # Underflow at huge drive: E_N from the logarithm of the same form,
+        # (1/2)[log2(1+mu) + log2(2 kappa+mu) - log2(2 kappa (2 n_th+1))].
+        log2_ratio = math.log2((n_th + 0.5) / SIGMA_ZPM) - math.log2(1.0 + mu)
+        if not math.isinf(kappa):
+            log2_ratio += math.log2(2.0 * kappa) - math.log2(2.0 * kappa + mu)
+        return max(0.0, -0.5 * log2_ratio), sigma_abs
+    return log_negativity(sigma_abs).e_n, sigma_abs
 
 
 def negativity_map(mu_grid, kappa_grid, n_th: float = 0.0) -> list[tuple[float, float, float, float, float]]:

@@ -5,6 +5,8 @@ import math
 
 import pytest
 
+import sde_oracle
+from nmpo import cli
 from nmpo.cli import main
 
 SIM_FAST = ["--gammaP", "20", "--dt", "0.005"]
@@ -143,6 +145,23 @@ def test_negativity_with_comparator(capsys):
     assert lut[("1", "inf", "0")] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("kappa", ["1", "inf"])
+def test_negativity_stays_finite_where_the_variance_underflows(capsys, kappa):
+    # sigma_sq_abs is a normal float at mu = 1e150 and underflows at 1e308
+    # (and at 1e200 with memory), so both routes are checked against E_N in
+    # log form
+    rc, out, _ = run(capsys, "negativity", "--mu", "1e150,1e200,1e308", "--kappa", kappa)
+    assert rc == 0
+    assert "nan" not in out
+    k = float(kappa)
+    for row in data_rows(out)[1]:
+        mu = float(row[0])
+        memory = 0.0 if math.isinf(k) else math.log2(2 * k + mu) - math.log2(2 * k)
+        assert float(row[3]) == pytest.approx(0.5 * (math.log2(1 + mu) + memory), rel=1e-11)
+    if kappa == "1":
+        assert float(data_rows(out)[1][1][3]) == pytest.approx(663.886, abs=1e-3)
+
+
 @pytest.mark.parametrize(
     "argv,error",
     [
@@ -151,6 +170,8 @@ def test_negativity_with_comparator(capsys):
         (("negativity", "--mu", "0.5", "--kappa", "1,-1"), "ParameterError"),
         (("variances", "--mu", "inf", "--kappa", "1"), "ParameterError"),
         (("steady-state", "--mu", "inf"), "ParameterError"),
+        (("steady-state", "--gamma0", "0"), "NonPositiveRate"),
+        (("steady-state", "--gamma0", "0", "--tau-r", "1"), "NonPositiveRate"),
     ],
 )
 def test_invalid_grid_points_exit_2_with_their_error_class(capsys, argv, error):
@@ -207,6 +228,39 @@ def test_simulate_overflow_exit_code(capsys):
                      "--no-noise", "--n-traj", "2", "--t-sample", "60")
     assert rc == 3
     assert json.loads(err)["error"] == "StepOverflow"
+
+
+def test_simulate_sweep_equals_per_row_oracle_runs(capsys, monkeypatch):
+    # 1.5 and 1.2 integrate in lockstep; inf (Markovian) and 1 are runs of one
+    argv = ["simulate", "--mu", "2", "--kappa", "1.5,1.2,inf,1", "--gamma0", "1.3",
+            "--gammaP", "13", "--dt", "0.0075", "--t-burn", "15.4", "--t-sample", "10.5",
+            "--record-stride", "2", "--n-traj", "3", "--seed", "5"]
+    rc, got, _ = run(capsys, *argv)
+    assert rc == 0
+    monkeypatch.setattr(cli, "integrate_trajectory", sde_oracle.integrate_trajectory)
+    monkeypatch.setattr(
+        cli, "integrate_ensemble",
+        lambda rows: [sde_oracle.integrate_trajectory(p, c) for p, c in rows],
+    )
+    rc, want, _ = run(capsys, *argv)
+    assert rc == 0
+    assert got == want
+    assert len(data_rows(got)[1]) == 4
+
+
+@pytest.mark.parametrize(
+    "kappa, extra, error",
+    [("1,-1", (), "NonPositiveRate"), ("1,0.01", ("--t-burn", "20"), "ParameterError")],
+)
+def test_simulate_checks_every_row_before_integrating(capsys, monkeypatch, kappa, extra, error):
+    def integrated(*args, **kwargs):
+        raise AssertionError("a row was integrated before every row was checked")
+
+    monkeypatch.setattr(cli, "integrate_trajectory", integrated)
+    monkeypatch.setattr(cli, "integrate_ensemble", integrated)
+    rc, _, err = run(capsys, "simulate", "--mu", "0.5", "--kappa", kappa, *SIM_FAST, *extra)
+    assert rc == 2
+    assert json.loads(err)["error"] == error
 
 
 # === output plumbing ==========================================================

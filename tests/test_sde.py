@@ -7,19 +7,25 @@ import numpy as np
 import pytest
 from scipy.signal import welch
 
+import sde_oracle
 from nmpo.errors import (
     InsufficientSamples,
     NonStationary,
     ParameterError,
+    SlowPumpWarning,
     StepOverflow,
 )
 from nmpo.meanfield import steady_state
 from nmpo.model import SystemParams
 from nmpo.sde import (
+    BLOCK,
+    RECORDABLE,
     SimConfig,
     estimate_order_parameters,
     estimate_quadrature_variances,
+    integrate_ensemble,
     integrate_trajectory,
+    lockstep_key,
     ou_noise_step,
 )
 from nmpo.spectra import integrate_variances, psd, variances_u1xz2
@@ -342,3 +348,102 @@ def test_welch_spectrum_matches_linear_theory():
     s_th = np.array([m[0, 0].real for m in sd.matrices])
     rel = np.abs(s_num[sel] / s_th - 1.0)
     assert rel.max() < 0.10
+
+
+# === bit identity with the per-step reference integrator ======================
+
+# gamma0 = 1.3 makes 1j * gamma0 an inexact factor, so a reassociated product
+# changes low bits.  gammaP = 10 gamma0 allows dt = 0.0075 and a burn-in of
+# 2053 steps; no case below is a whole number of noise blocks.
+ORACLE_BASE = dict(dt=0.0075, t_burn=15.4, t_sample=1.03, n_traj=3, seed=3, record_stride=3)
+
+
+def oracle_params(mu, kappa, nth=0.3):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SlowPumpWarning)
+        return SystemParams.from_kappa(gamma0=1.3, gammaP=13.0, kappa=kappa, g=0.01, mu=mu,
+                                       n_th_i=nth, n_th_s=nth, n_th_P=0.1)
+
+
+def assert_same_records(got, want):
+    for name in ("t",) + RECORDABLE:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.shape == b.shape and a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize(
+    "mu, kappa, cfg, initial",
+    [
+        # memory rows: Heun and Euler, pump noise by phase / forced on / off
+        (0.5, 1.0, dict(record_fields=RECORDABLE), None),
+        (2.0, 1.5, dict(record_fields=("A_i", "c_i", "f_s"), scheme="euler-maruyama"), None),
+        (2.0, 1.0, dict(pump_noise=False, record_stride=1), None),
+        (0.5, 1.0, dict(pump_noise=True, n_traj=1), None),
+        (0.5, 1.0, dict(noise=False, record_fields=RECORDABLE), None),
+        (0.5, 1.0, dict(record_fields=RECORDABLE),
+         {"A_i": 0.5j, "A_s": np.array([0.1, 0.2, -0.3j]), "c_i": 0.0, "f_i": 0.2}),
+        # Markovian rows
+        (0.5, math.inf, dict(), None),
+        (2.0, math.inf, dict(scheme="euler-maruyama"), None),
+        (2.0, math.inf, dict(pump_noise=False, n_traj=1, record_stride=1), None),
+        (0.5, math.inf, dict(noise=False), {"A_P": 0.4j}),
+    ],
+)
+def test_integrator_is_bit_identical_to_the_oracle(mu, kappa, cfg, initial):
+    p = oracle_params(mu, kappa)
+    c = SimConfig(**{**ORACLE_BASE, **cfg})
+    assert (round(c.t_burn / c.dt) + round(c.t_sample / c.dt)) % BLOCK != 0
+    got = integrate_trajectory(p, c, initial=initial)
+    want = sde_oracle.integrate_trajectory(p, c, initial=initial)
+    assert_same_records(got, want)
+
+
+def test_step_overflow_matches_the_oracle():
+    p = oracle_params(2000.0, 1.0)
+    c = SimConfig(**{**ORACLE_BASE, "noise": False, "t_sample": 10.0})
+    start = {"A_i": 1.0, "A_s": 1.0}
+    with pytest.raises(StepOverflow) as want:
+        sde_oracle.integrate_trajectory(p, c, initial=start)
+    with pytest.raises(StepOverflow) as got:
+        integrate_trajectory(p, c, initial=start)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("kappas", [(1.0, 1.5, 2.0), (math.inf, math.inf)])
+def test_ensemble_rows_equal_single_oracle_runs(kappas):
+    # mu = 0.9: kappa >= 1 rows are disordered, so pump noise is on only
+    # where it is forced; rows differ in seed, n_traj and occupancy.
+    rows = []
+    for i, kappa in enumerate(kappas):
+        p = oracle_params(0.9, kappa, nth=0.2 * i)
+        rows.append((p, SimConfig(**{**ORACLE_BASE, "seed": 10 + i, "n_traj": 2 + i,
+                                     "pump_noise": (True, None, False)[i]})))
+    for (p, c), got in zip(rows, integrate_ensemble(rows)):
+        assert_same_records(got, sde_oracle.integrate_trajectory(p, c))
+
+
+def test_ensemble_overflow_in_any_row_matches_the_oracle():
+    # at mu = 388 the kappa = 5 row stays finite and the kappa = 1 row overflows
+    stable, failing = [(oracle_params(388.0, kappa), SimConfig(**{**ORACLE_BASE, "seed": seed}))
+                       for kappa, seed in ((5.0, 2), (1.0, 1))]
+    sde_oracle.integrate_trajectory(*stable)
+    with pytest.raises(StepOverflow) as want:
+        sde_oracle.integrate_trajectory(*failing)
+    for rows in ([stable, failing], [failing, stable]):
+        with pytest.raises(StepOverflow) as got:
+            integrate_ensemble(rows)
+        assert str(got.value) == str(want.value)
+
+
+def test_ensemble_rejects_rows_that_cannot_share_steps():
+    p = oracle_params(0.5, 1.0)
+    rows = [(p, SimConfig(**ORACLE_BASE)), (p, SimConfig(**{**ORACLE_BASE, "scheme": "euler-maruyama"}))]
+    with pytest.raises(ParameterError):
+        integrate_ensemble(rows)
+    mixed = [(p, SimConfig(**ORACLE_BASE)), (oracle_params(0.5, math.inf), SimConfig(**ORACLE_BASE))]
+    assert lockstep_key(*mixed[0]) != lockstep_key(*mixed[1])
+    with pytest.raises(ParameterError):
+        integrate_ensemble(mixed)
