@@ -14,9 +14,7 @@ import argparse
 import itertools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -91,45 +89,22 @@ def _parse_values(spec: str, name: str) -> np.ndarray:
         ) from exc
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("NMPO_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError as exc:
-        raise ParameterError(
-            f"NMPO_THREADS must be an integer, got {raw!r}", [("NMPO_THREADS", "not an integer")]
-        ) from exc
-
-
-def _pmap(fn, items):
-    """Map preserving input order; threaded when NMPO_THREADS > 1."""
-    items = list(items)
-    n = _thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
 def _kappa_values(args, name="--kappa") -> np.ndarray:
     if getattr(args, "tau_r", None) is not None:
         return np.array([kappa_of(args.gamma0, args.tau_r)])
     return _parse_values(args.kappa, name)
 
 
-def _params_at(args, mu: float, kappa: float, n_th: float | None = None) -> SystemParams:
-    nth = args.nth_scalar if n_th is None else n_th
-    nth_p = args.nth_pump if args.nth_pump is not None else nth
+def _params_at(args, mu: float, kappa: float) -> SystemParams:
+    nth_p = args.nth_pump if args.nth_pump is not None else args.nth
     return SystemParams.from_kappa(
         gamma0=args.gamma0,
         gammaP=args.gammaP,
         kappa=kappa,
         g=args.g,
         mu=mu,
-        n_th_i=nth,
-        n_th_s=nth,
+        n_th_i=args.nth,
+        n_th_s=args.nth,
         n_th_P=nth_p,
     )
 
@@ -242,7 +217,6 @@ def _add_common(sub, kappa_default: str | None, nth_list: bool = False):
 
 def _cmd_steady_state(args) -> int:
     kappa = float(_kappa_values(args)[0])
-    args.nth_scalar = args.nth
     p = _params_at(args, args.mu, kappa)
     ss = steady_state(p, z2_branch=args.z2_branch, phi=args.phi)
     a_i, a_s, a_p = mode_amplitudes(ss, 0.0)
@@ -269,7 +243,6 @@ def _cmd_steady_state(args) -> int:
 def _cmd_phase_diagram(args) -> int:
     mu_grid = _parse_values(args.mu, "--mu")
     kappa_grid = _kappa_values(args)
-    args.nth_scalar = args.nth
     base = _params_at(args, 0.0, float(kappa_grid[0]))
     rows = phase_diagram(mu_grid, kappa_grid, base=base)
     _write_csv(
@@ -285,7 +258,6 @@ def _cmd_phase_diagram(args) -> int:
 def _cmd_eigenflow(args) -> int:
     mu_grid = _parse_values(args.mu, "--mu")
     kappa_values = _kappa_values(args)
-    args.nth_scalar = args.nth
     meta = {"mu": args.mu, "kappa": ",".join(_fmt(k) for k in kappa_values)}
     out_rows = []
     for kappa in kappa_values:
@@ -320,7 +292,7 @@ def _variance_report_at(args, mu: float, kappa: float, method: str):
             "use --method integrate",
             [("method", "closed form unavailable")],
         )
-    p = _params_at(args, mu, kappa, n_th=args.nth)
+    p = _params_at(args, mu, kappa)
     if phase is Phase.U1XZ2:
         return phase, variances_u1xz2(p)
     sd = psd(p, steady_state(p), n_grid=64)
@@ -330,7 +302,6 @@ def _variance_report_at(args, mu: float, kappa: float, method: str):
 def _cmd_variances(args) -> int:
     mu_grid = _parse_values(args.mu, "--mu")
     kappa_grid = _kappa_values(args)
-    args.nth_scalar = args.nth
     single = mu_grid.size == 1 and kappa_grid.size == 1
     fmt = args.format or ("json" if single else "csv")
     if fmt == "json":
@@ -356,10 +327,7 @@ def _cmd_variances(args) -> int:
         _write_json(args, "variances", payload, {"mu": _fmt(mu_grid[0]), "kappa": _fmt(kappa_grid[0])})
         return 0
 
-    points = [(float(mu), float(kappa)) for kappa in kappa_grid for mu in mu_grid]
-
-    def at(pt):
-        mu, kappa = pt
+    def at(mu, kappa):
         try:
             phase, rep = _variance_report_at(args, mu, kappa, args.method)
         except NumericsError as exc:
@@ -371,7 +339,7 @@ def _cmd_variances(args) -> int:
             rep.divergent["x+"], rep.divergent["x-"], rep.divergent["y+"], rep.divergent["y-"],
         )
 
-    rows = _pmap(at, points)
+    rows = [at(float(mu), float(kappa)) for kappa in kappa_grid for mu in mu_grid]
     _write_csv(
         args,
         "variances",
@@ -390,7 +358,6 @@ def _cmd_negativity(args) -> int:
     mu_grid = _parse_values(args.mu, "--mu")
     kappa_grid = _kappa_values(args)
     nth_values = _parse_values(args.nth, "--nth")
-    args.nth_scalar = float(nth_values[0])
     if nth_values.size > 1 or args.markovian_comparator:
         if kappa_grid.size != 1:
             raise ParameterError(
@@ -438,7 +405,6 @@ def _dump_trajectory(args, traj) -> None:
 
 def _cmd_simulate(args) -> int:
     kappa_values = _kappa_values(args)
-    args.nth_scalar = args.nth
     single = kappa_values.size == 1
 
     def config_for(p: SystemParams, seed: int) -> SimConfig:

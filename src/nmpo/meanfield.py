@@ -31,6 +31,9 @@ import numpy as np
 from .errors import NonPositiveRate, OutOfRegime, located
 from .model import SystemParams, kernel_freq
 
+# |lambda| / gamma0 below which the gauge zero mode (at rounding error) is dropped.
+_GOLDSTONE_TOL = 1e-6
+
 
 class Phase(enum.Enum):
     DISORDERED = "disordered"
@@ -156,7 +159,6 @@ def phase_diagram(
     mu_grid,
     kappa_grid,
     base: SystemParams | None = None,
-    goldstone_tol: float = 1e-6,
 ) -> list[tuple[float, float, Phase, float]]:
     """Stable phase and spectral margin on a (mu, kappa) product grid.
 
@@ -180,7 +182,7 @@ def phase_diagram(
                 lam = list(spec.eigenvalues)
                 if ss.phase is not Phase.DISORDERED:
                     zero = min(lam, key=abs)
-                    if abs(zero) < goldstone_tol * p.gamma0:
+                    if abs(zero) < _GOLDSTONE_TOL * p.gamma0:
                         lam.remove(zero)
                 max_re = max(v.real for v in lam)
                 rows.append((float(mu), float(kappa), ss.phase, max_re))

@@ -242,8 +242,8 @@ def _collect_violations(p) -> list[tuple[str, str, str]]:
         out.append(("drive", "mu", f"must be non-negative and finite, got {p.mu}"))
     for name in ("n_th_i", "n_th_s", "n_th_P"):
         v = getattr(p, name)
-        if v < 0 or math.isnan(v):
-            out.append(("occupancy", name, f"must be non-negative, got {v}"))
+        if not (0.0 <= v < math.inf):
+            out.append(("occupancy", name, f"must be non-negative and finite, got {v}"))
     rates_ok = not any(f in ("gamma0", "gammaP") for _, f, _ in out)
     if rates_ok and p.gammaP < MIN_PUMP_RATIO * p.gamma0:
         out.append(

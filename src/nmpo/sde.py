@@ -50,7 +50,7 @@ from .errors import (
 )
 from .meanfield import Phase, classify_phase, critical_drive, frequency_shift
 from .model import SystemParams
-from .spectra import VarianceReport, _make_report
+from .spectra import VarianceReport, _make_report, _thermal_scale
 
 SCHEMES = ("euler-maruyama", "stochastic-heun")
 RECORDABLE = ("A_i", "A_s", "A_P", "c_i", "c_s", "f_i", "f_s")
@@ -440,33 +440,13 @@ class OrderParameterEstimate:
     branch_locked: bool
 
 
-def _gather(trajs, fields=("A_i", "A_s")) -> Trajectory:
-    if isinstance(trajs, Trajectory):
-        tr = trajs
-    else:
-        seq = list(trajs)
-        if not seq:
-            raise InsufficientSamples("no trajectories given")
-        tr = seq[0]
-        if len(seq) > 1:
-            for other in seq[1:]:
-                if other.params != tr.params or other.t.shape != tr.t.shape:
-                    raise ParameterError(
-                        "trajectories have mismatched parameters or time grids",
-                        [("trajs", "inconsistent batch")],
-                    )
-            merged = {}
-            for name in RECORDABLE:
-                parts = [getattr(o, name) for o in seq]
-                merged[name] = np.concatenate(parts, axis=1) if parts[0] is not None else None
-            tr = Trajectory(t=tr.t, params=tr.params, config=tr.config, **merged)
-    for name in fields:
+def _check_amplitudes(tr: Trajectory) -> None:
+    for name in ("A_i", "A_s"):
         if getattr(tr, name) is None:
             raise InsufficientSamples(f"trajectory is missing recorded field {name!r}")
-    return tr
 
 
-def estimate_order_parameters(trajs, window: float | None = None) -> OrderParameterEstimate:
+def estimate_order_parameters(tr: Trajectory, window: float | None = None) -> OrderParameterEstimate:
     """Order parameters from sampled trajectories.
 
     amp_mean averages |A_i| over time and ensemble.  delta_est is the mean
@@ -478,7 +458,7 @@ def estimate_order_parameters(trajs, window: float | None = None) -> OrderParame
     of the difference-phase slope over boxcar windows of the given width
     (default 5/gamma0), centered per trajectory, averaged over the ensemble.
     """
-    tr = _gather(trajs)
+    _check_amplitudes(tr)
     n_samples, n_traj = tr.A_i.shape
     if n_traj < 2:
         raise InsufficientSamples(f"need >= 2 trajectories for ensemble errors, got {n_traj}")
@@ -488,13 +468,12 @@ def estimate_order_parameters(trajs, window: float | None = None) -> OrderParame
         window = 5.0 / tr.params.gamma0
     dt_rec = float(tr.t[1] - tr.t[0])
 
-    amp = np.abs(tr.A_i)
-    amp_per_traj = amp.mean(axis=0)
+    amp_per_traj = np.abs(tr.A_i).mean(axis=0)
     amp_mean = float(amp_per_traj.mean())
     amp_se = float(amp_per_traj.std(ddof=1) / math.sqrt(n_traj))
 
-    phase_i = np.unwrap(np.angle(tr.A_i), axis=0)
-    slopes = np.polyfit(tr.t, phase_i, 1)[0]
+    angle = np.angle(tr.A_i)
+    slopes = np.polyfit(tr.t, np.unwrap(angle, axis=0), 1)[0]
     mags = np.abs(slopes)
     mean_mag = float(mags.mean())
     locked = mean_mag > 0 and float(mags.min()) > 0.5 * mean_mag
@@ -505,7 +484,8 @@ def estimate_order_parameters(trajs, window: float | None = None) -> OrderParame
         delta_est = abs(float(slopes.mean()))
         delta_se = float(slopes.std(ddof=1) / math.sqrt(n_traj))
 
-    phi_d = np.unwrap(np.angle(tr.A_i) - np.angle(tr.A_s), axis=0)
+    angle -= np.angle(tr.A_s)
+    phi_d = np.unwrap(angle, axis=0)
     m = int(round(window / dt_rec))
     if m < 1 or n_samples <= 2 * m:
         raise InsufficientSamples(
@@ -530,7 +510,7 @@ def estimate_order_parameters(trajs, window: float | None = None) -> OrderParame
     )
 
 
-def estimate_quadrature_variances(trajs, frame: str = "static") -> VarianceReport:
+def estimate_quadrature_variances(tr: Trajectory, frame: str = "static") -> VarianceReport:
     """Sampled cross-quadrature variances about the mean-field solution.
 
     frame "static" uses the amplitudes as recorded; "corotating" first
@@ -546,7 +526,7 @@ def estimate_quadrature_variances(trajs, frame: str = "static") -> VarianceRepor
         raise ParameterError(
             f"frame must be 'static' or 'corotating', got {frame!r}", [("frame", "unknown")]
         )
-    tr = _gather(trajs)
+    _check_amplitudes(tr)
     params = tr.params
     n_samples, n_traj = tr.A_i.shape
     if n_traj < 2 or n_samples < 32:
@@ -584,9 +564,8 @@ def estimate_quadrature_variances(trajs, frame: str = "static") -> VarianceRepor
         "y+": (d_i.imag + d_s.imag) / math.sqrt(2.0),
         "y-": (d_i.imag - d_s.imag) / math.sqrt(2.0),
     }
-    s2 = 2.0 * params.g**2 / (params.gamma0 * params.gammaP)
-    n_th = 0.5 * (params.n_th_i + params.n_th_s)
-    norm = s2 * (n_th + 0.5)
+    s2, nhalf = _thermal_scale(params)
+    norm = s2 * nhalf
     soft = {"x-"} if phase is not Phase.DISORDERED else set()
 
     values, stderr = {}, {}
@@ -611,4 +590,4 @@ def estimate_quadrature_variances(trajs, frame: str = "static") -> VarianceRepor
             )
         values[lab] = val
         stderr[lab] = se
-    return _make_report(values, n_th, stderr=stderr)
+    return _make_report(values, 0.5 * (params.n_th_i + params.n_th_s), stderr=stderr)

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import schur, solve_continuous_lyapunov, solve_sylvester
@@ -74,6 +74,8 @@ _MARGINAL_RE = 1e-6
 # A quadrature whose row weight in the marginal subspace exceeds this share
 # of the largest row weight is touched by a marginal mode.
 _TOUCH_FRAC = 1e-6
+# Scale above which the u1 closed forms divide out max(mu, kappa) to stay in range.
+_HUGE = 1e100
 
 
 def _thermal_scale(params: SystemParams) -> tuple[float, float]:
@@ -191,8 +193,7 @@ class SpectralData:
     """PSD matrices of the cross-quadratures on a symmetric frequency grid.
 
     matrices[k] is the Hermitian 6x6 PSD at omega[k]; X and Y sectors sit in
-    one matrix (block-diagonal unless the frame rotates).  covariance is the
-    equal-time covariance when it has been computed.
+    one matrix (block-diagonal unless the frame rotates).
     """
 
     omega: np.ndarray
@@ -202,7 +203,6 @@ class SpectralData:
     params: SystemParams
     ss: SteadyState
     include_pump: bool
-    covariance: np.ndarray | None = None
 
 
 def psd(
@@ -211,7 +211,6 @@ def psd(
     omega_grid=None,
     include_pump: bool | None = None,
     n_grid: int = 2000,
-    integrate: bool = False,
 ) -> SpectralData:
     """Hermitian PSD matrices on a symmetric frequency grid.
 
@@ -243,11 +242,7 @@ def psd(
         chi = np.linalg.inv(m)
         s = chi @ _force_psd(d, feed) @ chi.conj().T / (2.0 * math.pi)
         mats[k] = 0.5 * (s + s.conj().T)
-    sd = SpectralData(om, mats, QUAD_LABELS, em.frame, params, ss, include_pump)
-    if integrate:
-        report = integrate_variances(sd)
-        sd = replace(sd, covariance=report.covariance)
-    return sd
+    return SpectralData(om, mats, QUAD_LABELS, em.frame, params, ss, include_pump)
 
 
 @dataclass(frozen=True)
@@ -359,23 +354,30 @@ def integrate_variances(sd: SpectralData) -> VarianceReport:
 # === closed forms =============================================================
 
 
-def _check_regime_inputs(mu, kappa, n_th):
+def _check_regime_inputs(mu, kappa, n_th, n_th_P=0.0):
     if not (kappa > 0):
         raise ParameterError(f"kappa must be > 0, got {kappa}", [("kappa", "must be positive")])
     if not (0.0 <= mu < math.inf):
         raise ParameterError(
             f"mu must be >= 0 and finite, got {mu}", [("mu", "must be non-negative and finite")]
         )
-    if n_th < 0:
-        raise ParameterError(f"n_th must be >= 0, got {n_th}", [("n_th", "must be non-negative")])
+    for name, n in (("n_th", n_th), ("n_th_P", n_th_P)):
+        if not (0.0 <= n < math.inf):
+            raise ParameterError(
+                f"{name} must be >= 0 and finite, got {n}",
+                [(name, "must be non-negative and finite")],
+            )
 
 
 def _sigma_sq_formula(mu: float, kappa: float) -> float:
     """Squeezed-variance closed form; exact below threshold, analytic
-    continuation beyond (backbone of scaling studies and entanglement maps)."""
-    if math.isinf(kappa):
-        return 1.0 / (1.0 + mu)
-    return 2.0 * kappa / ((1.0 + mu) * (2.0 * kappa + mu))
+    continuation beyond (backbone of scaling studies and entanglement maps).
+    At -mu it is the amplified-pair form."""
+    den = (1.0 + mu) * (2.0 * kappa + mu)
+    if math.isinf(den):
+        # kappa = inf, or a product past the float range: kappa divided out.
+        return 1.0 / ((1.0 + 0.5 * mu / kappa) * (1.0 + mu))
+    return 2.0 * kappa / den
 
 
 def variances_below_threshold(
@@ -396,10 +398,7 @@ def variances_below_threshold(
             "(pass extrapolate=True for the continued squeezed formula)"
         )
     sq = _sigma_sq_formula(mu, kappa)
-    if mu < mu_cr:
-        amp = 1.0 / (1.0 - mu) if math.isinf(kappa) else 2.0 * kappa / ((1.0 - mu) * (2.0 * kappa - mu))
-    else:
-        amp = math.inf
+    amp = _sigma_sq_formula(-mu, kappa) if mu < mu_cr else math.inf
     values = {"x+": sq, "y-": sq, "x-": amp, "y+": amp}
     return _make_report(values, n_th)
 
@@ -414,11 +413,9 @@ def variances_above_threshold_u1(
     gauge direction and divergent.  The pump-to-signal occupancy ratio
     r = (n_th_P + 1/2)/(n_th + 1/2) weighs the pump-noise terms.
     """
-    _check_regime_inputs(mu, kappa, n_th)
     if n_th_P is None:
         n_th_P = n_th
-    if n_th_P < 0:
-        raise ParameterError(f"n_th_P must be >= 0, got {n_th_P}", [("n_th_P", "must be non-negative")])
+    _check_regime_inputs(mu, kappa, n_th, n_th_P)
     if kappa < 0.5:
         raise OutOfRegime(f"u1 closed forms need kappa >= 1/2, got {kappa}")
     if mu <= 1.0:
@@ -428,12 +425,20 @@ def variances_above_threshold_u1(
         x_plus = r * (mu - 1.0) / mu + 0.5 / mu
         y_plus = r + 0.5 / (mu - 1.0)
         y_minus = 0.5
-    else:
+    elif max(mu, kappa, r) <= _HUGE:
         d1 = mu * (2.0 * kappa + 2.0 * mu - 1.0)
         d3 = 2.0 * kappa + 2.0 * mu - 3.0
         x_plus = (r * 2.0 * (mu - 1.0) * (mu + kappa) + kappa) / d1
         y_plus = r * 2.0 * (mu - 1.0 + kappa) / d3 + kappa / ((mu - 1.0) * d3)
         y_minus = kappa / (1.0 + 2.0 * kappa)
+    else:
+        # The same forms with big = max(mu, kappa) divided out, so that no
+        # product leaves the float range.
+        big = max(mu, kappa)
+        a, b, eps = mu / big, kappa / big, 1.0 / big
+        x_plus = (2.0 * r * ((mu - 1.0) / mu) * (a + b) + b / mu) / (2.0 * (a + b) - eps)
+        y_plus = (2.0 * r * (a + b - eps) + b / (mu - 1.0)) / (2.0 * (a + b) - 3.0 * eps)
+        y_minus = 0.5 / (1.0 + 0.5 / kappa)
     values = {"x+": x_plus, "x-": math.inf, "y+": y_plus, "y-": y_minus}
     return _make_report(values, n_th)
 
@@ -528,10 +533,10 @@ def _negativity_point(mu: float, kappa: float, n_th: float) -> tuple[float, floa
     sigma_abs = (n_th + 0.5) * _sigma_sq_formula(mu, kappa)
     if sigma_abs < sys.float_info.min:
         # Underflow at huge drive: E_N from the logarithm of the same form,
-        # (1/2)[log2(1+mu) + log2(2 kappa+mu) - log2(2 kappa (2 n_th+1))].
-        log2_ratio = math.log2((n_th + 0.5) / SIGMA_ZPM) - math.log2(1.0 + mu)
-        if not math.isinf(kappa):
-            log2_ratio += math.log2(2.0 * kappa) - math.log2(2.0 * kappa + mu)
+        # (1/2)[log2(1+mu) + log2(1 + mu/(2 kappa)) - log2(2 n_th+1)], the
+        # middle term as log2(1 + 2^y) so that mu/(2 kappa) may overflow.
+        log2_ratio = math.log2(n_th + 0.5) - math.log2(SIGMA_ZPM) - math.log2(1.0 + mu)
+        log2_ratio -= float(np.logaddexp2(0.0, math.log2(0.5 * mu) - math.log2(kappa)))
         return max(0.0, -0.5 * log2_ratio), sigma_abs
     return log_negativity(sigma_abs).e_n, sigma_abs
 

@@ -172,6 +172,12 @@ def test_negativity_stays_finite_where_the_variance_underflows(capsys, kappa):
         (("steady-state", "--mu", "inf"), "ParameterError"),
         (("steady-state", "--gamma0", "0"), "NonPositiveRate"),
         (("steady-state", "--gamma0", "0", "--tau-r", "1"), "NonPositiveRate"),
+        (("variances", "--mu", "0.5", "--kappa", "1", "--method", "closed", "--nth", "nan",
+          "--format", "json"), "ParameterError"),
+        (("variances", "--mu", "0.5", "--kappa", "1", "--method", "closed", "--nth", "inf",
+          "--format", "json"), "ParameterError"),
+        (("variances", "--mu", "0.5", "--kappa", "1", "--method", "integrate", "--nth", "inf"),
+         "NegativeOccupancy"),
     ],
 )
 def test_invalid_grid_points_exit_2_with_their_error_class(capsys, argv, error):
@@ -179,6 +185,40 @@ def test_invalid_grid_points_exit_2_with_their_error_class(capsys, argv, error):
     assert rc == 2
     assert out == ""
     assert json.loads(err)["error"] == error
+
+
+def _close(got, want):
+    """Equal structure and text; floats equal to 1e-12."""
+    if isinstance(want, dict):
+        return got.keys() == want.keys() and all(_close(got[k], want[k]) for k in want)
+    if isinstance(want, float):
+        return isinstance(got, float) and got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    return got == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("negativity", "--mu", "1"),
+        ("variances", "--mu", "0.5", "--method", "closed", "--format", "json"),
+        ("variances", "--mu", "2", "--method", "closed", "--format", "json"),
+    ],
+)
+def test_closed_forms_at_huge_kappa_match_the_markovian_limit(capsys, argv):
+    # 2 kappa overflows at kappa = 1e308; the closed forms must still give
+    # the kappa = inf values, not NaN or an all-divergent report
+    docs = []
+    for kappa in ("1e308", "inf"):
+        rc, out, err = run(capsys, *argv, "--kappa", kappa)
+        assert rc == 0, err
+        assert "nan" not in out
+        if argv[0] == "negativity":
+            header, rows = data_rows(out)
+            doc = {f"{i}:{k}": float(v) for i, row in enumerate(rows) for k, v in zip(header, row)}
+        else:
+            doc = json.loads(out)
+        docs.append({k: v for k, v in doc.items() if k != "meta" and not k.endswith("kappa")})
+    assert _close(*docs), docs
 
 
 def test_negativity_comparator_needs_scalar_kappa(capsys):
@@ -284,12 +324,16 @@ def test_output_files_are_reproducible(capsys, tmp_path):
     assert a.read_bytes().startswith(b"# nmpo")
 
 
-def test_thread_pool_does_not_change_output(capsys, tmp_path, monkeypatch):
-    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
-    args = ["variances", "--mu", "0.2,0.8", "--kappa", "0.6,2", "--method", "integrate"]
-    rc, _, _ = run(capsys, *args, "--out", str(one))
+def test_variances_grid_rows_are_the_scalar_points_in_input_order(capsys, tmp_path):
+    grid = tmp_path / "grid.csv"
+    args = ["variances", "--method", "integrate"]
+    rc, _, _ = run(capsys, *args, "--mu", "0.2,0.8", "--kappa", "0.6,2", "--out", str(grid))
     assert rc == 0
-    monkeypatch.setenv("NMPO_THREADS", "2")
-    rc, _, _ = run(capsys, *args, "--out", str(two))
-    assert rc == 0
-    assert one.read_bytes() == two.read_bytes()
+    _, rows = data_rows(grid.read_text())
+    points = [(mu, kappa) for kappa in ("0.6", "2") for mu in ("0.2", "0.8")]
+    assert [(r[0], r[1]) for r in rows] == points
+    for row, (mu, kappa) in zip(rows, points):
+        rc, out, _ = run(capsys, *args, "--mu", mu, "--kappa", kappa, "--format", "json")
+        assert rc == 0
+        sigma = json.loads(out)["sigma"]
+        assert row[3:7] == [cli._fmt(float(sigma[lab])) for lab in ("x+", "x-", "y+", "y-")]

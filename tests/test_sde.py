@@ -215,6 +215,10 @@ def test_order_estimator_sample_requirements():
     ok = integrate_trajectory(p, config(t_sample=10.0, n_traj=4))
     with pytest.raises(InsufficientSamples):
         estimate_order_parameters(ok, window=9.0)
+    no_signal = integrate_trajectory(p, config(t_sample=10.0, record_fields=("A_i",)))
+    for estimate in (estimate_order_parameters, estimate_quadrature_variances):
+        with pytest.raises(InsufficientSamples, match="'A_s'"):
+            estimate(no_signal)
 
 
 def test_order_parameters_static_broken_phase():
