@@ -32,15 +32,20 @@ from .linres import (
     eigenspectrum,
     exceptional_point_drive,
     locate_critical_drive,
+    row_spectra,
 )
 from .meanfield import (
     Phase,
+    SteadyRow,
     SteadyState,
+    check_grid,
     classify_phase,
     critical_drive,
     frequency_shift,
     mode_amplitudes,
     phase_diagram,
+    row_residuals,
+    steady_row,
     steady_state,
     steady_state_branch,
     steady_state_residual,
@@ -98,10 +103,12 @@ __all__ = [
     "Phase", "SteadyState", "classify_phase", "critical_drive",
     "frequency_shift", "steady_state", "steady_state_branch",
     "mode_amplitudes", "steady_state_residual", "phase_diagram",
+    "SteadyRow", "steady_row", "row_residuals", "check_grid",
     # linres
     "EmbeddedMatrix", "EigenSpectrum", "build_embedded_matrix", "build_diffusion",
     "eigenspectrum", "disordered_eigenvalues_closed_form",
     "exceptional_point_drive", "locate_critical_drive", "eigenflow_sweep",
+    "row_spectra",
     # spectra
     "SpectralData", "VarianceReport", "NegativityResult", "susceptibility_at",
     "diffusion_matrix", "psd", "integrate_variances",

@@ -11,6 +11,7 @@ diagnostics on stderr), 3 numerical failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -23,6 +24,7 @@ from .errors import NumericsError, ParameterError, located
 from .linres import build_embedded_matrix, eigenflow_sweep, eigenspectrum
 from .meanfield import (
     Phase,
+    check_grid,
     classify_phase,
     mode_amplitudes,
     phase_diagram,
@@ -259,9 +261,10 @@ def _cmd_eigenflow(args) -> int:
     mu_grid = _parse_values(args.mu, "--mu")
     kappa_values = _kappa_values(args)
     meta = {"mu": args.mu, "kappa": ",".join(_fmt(k) for k in kappa_values)}
+    base = _params_at(args, 0.0, float(kappa_values[0]))
+    check_grid(base, mu_grid, kappa_values)
     out_rows = []
     for kappa in kappa_values:
-        base = _params_at(args, 0.0, float(kappa))
         res = eigenflow_sweep(float(kappa), mu_grid, base=base)
         meta[f"mu_cr[kappa={_fmt(kappa)}]"] = _fmt(res.mu_cr)
         meta[f"mu_ep[kappa={_fmt(kappa)}]"] = "none" if res.mu_ep is None else _fmt(res.mu_ep)
@@ -508,7 +511,9 @@ def _cmd_simulate(args) -> int:
 # === driver ===================================================================
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argparse tree, built on the first main() call and reused."""
     parser = _Parser(
         prog="nmpo",
         description="Driven two-mode system with reservoir memory: sweeps and estimators.",

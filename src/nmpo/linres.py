@@ -36,10 +36,14 @@ from .errors import (
 )
 from .meanfield import (
     Phase,
+    SteadyRow,
     SteadyState,
+    _run_row,
+    check_grid,
     critical_drive,
+    row_residuals,
+    steady_row,
     steady_state_branch,
-    steady_state_residual,
 )
 from .model import SystemParams
 
@@ -101,6 +105,69 @@ def exceptional_point_drive(kappa: float) -> float | None:
     return math.sqrt(8.0 * kappa) - 2.0 * kappa
 
 
+# Entries of A as (row, col).  Constant ones: pump relaxation, then the bare
+# damping (Markovian) or the couplings of the memory variables.
+_PUMP = [(2, 2), (5, 5)]
+_DAMPING = [(0, 0), (1, 1), (3, 3), (4, 4)]
+_MEMORY = [(0, 6), (1, 7), (3, 8), (4, 9), (6, 0), (7, 1), (8, 3), (9, 4),
+           (6, 6), (7, 7), (8, 8), (9, 9)]
+# State-dependent ones, in the order _generators lists their values:
+# parametric couplings, then the frame rotation, which mixes the
+# cross-quadrature pairs (x+, y-) and (x-, y+) and, with memory, their
+# memory variables.
+_COUPLING = [(0, 0), (1, 1), (3, 3), (4, 4), (0, 2), (3, 5), (2, 0), (5, 3)]
+_ROTATION = [(0, 4), (1, 3), (3, 1), (4, 0)]
+_MEMORY_ROTATION = [(6, 9), (7, 8), (8, 7), (9, 6)]
+
+
+def _flat(entries, n):
+    return np.array([r * n + c for r, c in entries])
+
+
+# Flat indices into an n x n generator: n = 6 is Markovian, 10 has memory.
+_CONSTANT = {6: _flat(_PUMP + _DAMPING, 6), 10: _flat(_PUMP + _MEMORY, 10)}
+_VARYING = {6: _flat(_COUPLING + _ROTATION, 6),
+            10: _flat(_COUPLING + _ROTATION + _MEMORY_ROTATION, 10)}
+
+
+def _generators(params: SystemParams, row: SteadyRow) -> np.ndarray:
+    """Embedded generators about the states of row, as an (N, n, n) array.
+
+    The stacked form of build_embedded_matrix, with the same checks on
+    every state.
+    """
+    res = row_residuals(params, row)
+    if (res > RESIDUAL_TOL).any():
+        first = np.atleast_1d(res)[np.argmax(res > RESIDUAL_TOL)]
+        raise InconsistentSteadyState(
+            f"stationarity residual {first:.3e} exceeds {RESIDUAL_TOL:.0e}"
+        )
+    pump = row.a_p
+    if (abs(pump.real) > 1e-12 * np.maximum(1.0, abs(pump))).any():
+        raise InconsistentSteadyState("pump amplitude not on the imaginary axis")
+    g0, gp = params.gamma0, params.gammaP
+    h = g0 * pump.imag / 2.0
+    gc = g0 * row.amp_signal / math.sqrt(2.0)
+    gpc = gp * row.amp_signal / math.sqrt(2.0)
+    dlt = row.rot
+    vals = [-h, h, h, -h, gc, gc, -gpc, -gpc, -dlt, -dlt, dlt, dlt]
+    if params.markovian:
+        n = 6
+        const = [-gp / 2.0] * 2 + [-g0 / 2.0] * 4
+    else:
+        n, tau = 10, params.tau_r
+        const = [-gp / 2.0] * 2 + [-0.5] * 4 + [g0 / tau] * 4 + [-1.0 / tau] * 4
+        vals += [-dlt, -dlt, dlt, dlt]
+    m = np.zeros((np.size(h), n, n))
+    flat = m.reshape(len(m), n * n)
+    # Entries are added into zeros, so that zeros come out positive, as
+    # when A is filled one entry at a time.  Two terms meet only on the
+    # Markovian diagonal, and their sum does not depend on the order.
+    flat[:, _CONSTANT[n]] += const
+    flat[:, _VARYING[n]] += np.array(vals).reshape(len(vals), -1).T
+    return m
+
+
 def build_embedded_matrix(params: SystemParams, ss: SteadyState) -> EmbeddedMatrix:
     """Real linear-response generator about ss.
 
@@ -109,54 +176,9 @@ def build_embedded_matrix(params: SystemParams, ss: SteadyState) -> EmbeddedMatr
     (mean pump locked on the positive imaginary axis), in its co-rotating
     frame.
     """
-    res = steady_state_residual(params, ss)
-    if res > RESIDUAL_TOL:
-        raise InconsistentSteadyState(
-            f"stationarity residual {res:.3e} exceeds {RESIDUAL_TOL:.0e}"
-        )
-    g0, gp = params.gamma0, params.gammaP
-    pump = ss.pump_amp
-    if abs(pump.real) > 1e-12 * max(1.0, abs(pump)):
-        raise InconsistentSteadyState("pump amplitude not on the imaginary axis")
-    P = pump.imag
-    S = ss.amp_signal
-    dlt = ss.z2_branch * ss.delta
-    gc = g0 * S / math.sqrt(2.0)
-    gpc = gp * S / math.sqrt(2.0)
-    markov = params.markovian
-    n = 6 if markov else 10
-    m = np.zeros((n, n))
-    # Parametric couplings and pump relaxation.
-    m[0, 0] += -g0 * P / 2.0
-    m[0, 2] += gc
-    m[1, 1] += +g0 * P / 2.0
-    m[2, 0] += -gpc
-    m[2, 2] += -gp / 2.0
-    m[3, 3] += +g0 * P / 2.0
-    m[3, 5] += gc
-    m[4, 4] += -g0 * P / 2.0
-    m[5, 3] += -gpc
-    m[5, 5] += -gp / 2.0
-    # Frame rotation mixes the cross-quadrature pairs (x+, y-) and (x-, y+).
-    m[0, 4] += -dlt
-    m[1, 3] += -dlt
-    m[3, 1] += +dlt
-    m[4, 0] += +dlt
-    if markov:
-        for q in (0, 1, 3, 4):
-            m[q, q] += -g0 / 2.0
-        return EmbeddedMatrix(m, LABELS_MARKOV, "corotating" if dlt != 0.0 else "static")
-    tau = params.tau_r
-    for k, q in enumerate((0, 1, 3, 4)):
-        m[q, 6 + k] += -0.5
-        m[6 + k, q] += g0 / tau
-        m[6 + k, 6 + k] += -1.0 / tau
-    # The memory variables rotate with the frame as well.
-    m[6, 9] += -dlt
-    m[7, 8] += -dlt
-    m[8, 7] += +dlt
-    m[9, 6] += +dlt
-    return EmbeddedMatrix(m, LABELS_FULL, "corotating" if dlt != 0.0 else "static")
+    m = _generators(params, SteadyRow.of(params, ss))[0]
+    labels = LABELS_MARKOV if params.markovian else LABELS_FULL
+    return EmbeddedMatrix(m, labels, "corotating" if ss.z2_branch * ss.delta != 0.0 else "static")
 
 
 def build_diffusion(params: SystemParams, include_pump: bool) -> np.ndarray:
@@ -186,17 +208,50 @@ def build_diffusion(params: SystemParams, include_pump: bool) -> np.ndarray:
     return d
 
 
-def eigenspectrum(em: EmbeddedMatrix) -> EigenSpectrum:
-    """Dense spectrum of the embedded generator."""
+def _spectra(mats: np.ndarray, gauge=None, gauge_tol: float = 0.0):
+    """Sorted spectra of a stack of generators and the margin of each.
+
+    Returns the (N, n) eigenvalues, each row sorted by descending real part,
+    then descending imaginary part, and the largest real part of each row.
+    Where gauge is set, the margin skips the gauge zero mode: the first
+    eigenvalue of least modulus, when that modulus is below gauge_tol.
+    """
     try:
-        vals = np.linalg.eigvals(em.matrix)
+        vals = np.linalg.eigvals(mats)
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(f"eigensolver did not converge: {exc}") from exc
     if not np.all(np.isfinite(vals)):
         raise EigensolverFailure("eigensolver returned non-finite eigenvalues")
-    ordered = sorted((complex(v) for v in vals), key=lambda z: (-z.real, -z.imag))
-    max_re = ordered[0].real
-    return EigenSpectrum(tuple(ordered), max_re, max_re <= STABLE_TOL)
+    rows = np.arange(len(vals))[:, None]
+    vals = vals.astype(complex)[rows, np.lexsort((-vals.imag, -vals.real))]
+    if gauge is None:
+        return vals, vals[:, 0].real
+    # The margin is the real part of the first eigenvalue kept, which is the
+    # second one where the dropped mode comes first.
+    mag = np.hypot(vals.real, vals.imag)
+    dropped_first = gauge & (np.argmin(mag, axis=-1) == 0) & (mag[:, 0] < gauge_tol)
+    return vals, vals[rows[:, 0], dropped_first.astype(int)].real
+
+
+def eigenspectrum(em: EmbeddedMatrix) -> EigenSpectrum:
+    """Dense spectrum of the embedded generator."""
+    vals, max_re = _spectra(em.matrix[None])
+    max_re = float(max_re[0])
+    return EigenSpectrum(tuple(vals[0].tolist()), max_re, max_re <= STABLE_TOL)
+
+
+def row_spectra(params: SystemParams, row: SteadyRow, gauge_tol: float | None = None):
+    """Spectra about every state of row in one stacked eigen-solve.
+
+    The stacked form of eigenspectrum(build_embedded_matrix(params, ss)):
+    returns the (N, n) sorted eigenvalues and the margin (largest real
+    part) of each state.  With gauge_tol, the margin of a state off the
+    disordered phase leaves out its gauge zero mode (see _spectra).
+    """
+    gauge = None
+    if gauge_tol is not None:
+        gauge = np.array([ph is not Phase.DISORDERED for ph in row.phase], dtype=bool)
+    return _spectra(_generators(params, row), gauge, gauge_tol)
 
 
 def _disordered_margin(params: SystemParams, mu: float) -> float:
@@ -276,7 +331,9 @@ def eigenflow_sweep(
     Branches are linearized about their analytically continued steady state
     wherever that state exists, including where it is unstable, so crossing
     and exchange structure is visible.  Grid points where a branch does not
-    exist are skipped.
+    exist are skipped.  The grid is validated first; each branch is then
+    solved as one stack (row_spectra).  A failure re-raises with the drive
+    of the first failing point.
     """
     if base is None:
         base = SystemParams(gamma0=1.0, gammaP=100.0, tau_r=1.0, g=0.01, mu=0.0)
@@ -284,19 +341,31 @@ def eigenflow_sweep(
         phases = (Phase.DISORDERED, Phase.U1)
         if kappa < 0.5:
             phases += (Phase.U1XZ2,)
-    rows = []
-    for mu in np.asarray(mu_grid, dtype=float):
-        p = base.replace(mu=float(mu), kappa=float(kappa))
+    mu = np.asarray(mu_grid, dtype=float)
+    check_grid(base, mu, [kappa])
+    p = base.replace(kappa=float(kappa))
+
+    def branches(drives):
+        out = []
         for ph in phases:
             try:
-                ss = steady_state_branch(p, ph)
+                index, row = steady_row(p, drives, ph)
             except ParameterError:
-                continue  # branch absent at this drive
-            spec = eigenspectrum(build_embedded_matrix(p, ss))
-            rows.append((float(mu), ph, spec.eigenvalues))
+                continue  # branch absent at this memory
+            out.append((ph, index, row_spectra(p, row)[0]))
+        return out
+
+    def where(i):
+        return f"eigenflow point (i={i}) mu={mu[i]}, kappa={kappa}"
+
+    # Rows in drive-major order, branches in the order requested.
+    slots = [[] for _ in range(mu.size)]
+    for ph, index, vals in _run_row(branches, mu, where):
+        for i, lams in zip(index.tolist(), vals.tolist()):
+            slots[i].append((float(mu[i]), ph, tuple(lams)))
     return EigenflowResult(
         kappa=float(kappa),
-        rows=tuple(rows),
+        rows=tuple(row for slot in slots for row in slot),
         mu_cr=critical_drive(kappa),
         mu_ep=exceptional_point_drive(kappa) if kappa != math.inf else None,
     )

@@ -133,17 +133,87 @@ def steady_state(params: SystemParams, z2_branch: int = 1, phi: float = 0.0) -> 
     return steady_state_branch(params, classify_phase(params.mu, params.kappa), z2_branch, phi)
 
 
-def steady_state_residual(params: SystemParams, ss: SteadyState) -> float:
-    """Stationarity defect of ss under the amplitude equations.
+@dataclass(frozen=True)
+class SteadyRow:
+    """Stationary states along a drive grid at one parameter set.
 
-    Signal/idler residuals are normalized by gamma0, the pump residual by
-    gammaP, so the value is scale-free.  Exact solutions sit at rounding
-    error (< 1e-10).
+    The array form of SteadyState: state k sits at drive mu[k] in family
+    phase[k], with signal magnitude amp_signal[k], mean-field amplitudes
+    a_i[k], a_s[k], a_p[k] at t = 0 and signed rotation rate rot[k]
+    (z2_branch * delta).  A row of one state (SteadyRow.of) holds scalars.
     """
-    g0, gp, mu = params.gamma0, params.gammaP, params.mu
-    a_i, a_s, a_p = mode_amplitudes(ss, 0.0)
-    b = ss.z2_branch
-    rot = b * ss.delta
+
+    mu: np.ndarray
+    phase: tuple[Phase, ...]
+    amp_signal: np.ndarray
+    a_i: np.ndarray
+    a_s: np.ndarray
+    a_p: np.ndarray
+    rot: np.ndarray
+
+    @classmethod
+    def of(cls, params: SystemParams, ss: SteadyState) -> "SteadyRow":
+        """The one-state row of ss at drive params.mu."""
+        a_i, a_s, a_p = mode_amplitudes(ss, 0.0)
+        return cls(params.mu, (ss.phase,), ss.amp_signal, a_i, a_s, a_p, ss.z2_branch * ss.delta)
+
+
+def _family(params: SystemParams, phase: Phase, mu: np.ndarray):
+    """(pump P, magnitude, rotation) of a family's states at drives mu.
+
+    The pump amplitude is i P; the broken families exist where mu >= P.
+    """
+    if phase is Phase.DISORDERED:
+        return mu, np.zeros_like(mu), 0.0
+    if phase is Phase.U1:
+        return 1.0, np.sqrt(mu - 1.0), 0.0
+    pump = 2.0 * params.kappa
+    return pump, np.sqrt(mu - pump), frequency_shift(params.kappa) * params.gamma0
+
+
+def steady_row(
+    params: SystemParams, mu: np.ndarray, phase: Phase | None = None
+) -> tuple[np.ndarray, SteadyRow]:
+    """Stationary states across the drive grid mu at the memory of params.
+
+    phase=None takes the stable state at every drive (steady_state); a Phase
+    takes that family wherever it exists (steady_state_branch).  Returns the
+    grid indices of the states and the row; z2_branch = +1 and phi = 0.
+    """
+    kappa = params.kappa
+    mu_cr = critical_drive(kappa)
+    if phase is None:
+        broken = Phase.U1 if kappa >= 0.5 else Phase.U1XZ2
+        on = mu > mu_cr
+        pump, amp, rot = np.array(mu), np.zeros_like(mu), np.zeros_like(mu)
+        pump[on], amp[on], rot[on] = _family(params, broken, mu[on])
+        index = np.arange(mu.size)
+        phases = tuple(broken if b else Phase.DISORDERED for b in on.tolist())
+    else:
+        if phase is Phase.DISORDERED:
+            exists = np.ones(mu.shape, dtype=bool)
+        elif phase is Phase.U1:
+            exists = mu >= 1.0
+        else:
+            exists = (mu >= 2.0 * kappa) & (kappa < 0.5)
+        index = np.flatnonzero(exists)
+        mu = mu[index]
+        pump, amp, rot = (np.broadcast_to(v, mu.shape) for v in _family(params, phase, mu))
+        phases = (phase,) * mu.size
+    a = 1j * amp
+    return index, SteadyRow(mu, phases, amp, a, a, 1j * pump, rot)
+
+
+def row_residuals(params: SystemParams, row: SteadyRow) -> np.ndarray:
+    """steady_state_residual of every state of row.
+
+    On arrays numpy may fuse the multiply-adds of a complex product, which
+    moves last bits against Python's complex arithmetic; the purely
+    imaginary amplitudes of steady_row leave one nonzero term per product,
+    so there each state's residual is bit for bit its one-state value.
+    """
+    g0, gp, mu = params.gamma0, params.gammaP, row.mu
+    a_i, a_s, a_p, rot = row.a_i, row.a_s, row.a_p, row.rot
     # Convolution of the kernel with a phase rotating as e^{+i rot t} gives
     # gamma~(-rot); the counter-rotating signal mode picks up gamma~(+rot).
     kern = params.kernel
@@ -152,7 +222,60 @@ def steady_state_residual(params: SystemParams, ss: SteadyState) -> float:
     res_i = 0.5 * (-g_i * a_i + 1j * g0 * np.conj(a_s) * a_p) - 1j * rot * a_i
     res_s = 0.5 * (-g_s * a_s + 1j * g0 * np.conj(a_i) * a_p) + 1j * rot * a_s
     res_p = 0.5 * (-gp * a_p + 1j * gp * (a_i * a_s + mu))
-    return max(abs(res_i) / g0, abs(res_s) / g0, abs(res_p) / gp)
+    # hypot is the modulus Python takes; numpy's complex abs may differ.
+    out = np.hypot(res_i.real, res_i.imag) / g0
+    for r in (np.hypot(res_s.real, res_s.imag) / g0, np.hypot(res_p.real, res_p.imag) / gp):
+        out = np.where(r > out, r, out)  # max() as Python takes it, NaN included
+    return out
+
+
+def steady_state_residual(params: SystemParams, ss: SteadyState) -> float:
+    """Stationarity defect of ss under the amplitude equations.
+
+    Signal/idler residuals are normalized by gamma0, the pump residual by
+    gammaP, so the value is scale-free.  Exact solutions sit at rounding
+    error (< 1e-10).
+    """
+    return float(row_residuals(params, SteadyRow.of(params, ss)))
+
+
+def check_grid(base: SystemParams, mu_grid, kappa_grid, where=None) -> None:
+    """Raise the error of the first invalid (mu, kappa) point, kappa-major.
+
+    A point is valid when mu is finite and >= 0 and kappa is > 0 or inf.
+    The first invalid one re-raises through base.replace, so it keeps the
+    scalar route's class and message; where(i, j), if given, prefixes its
+    grid location.
+    """
+    mu, kappa = np.asarray(mu_grid, dtype=float), np.asarray(kappa_grid, dtype=float)
+    bad = np.argwhere(~(kappa > 0)[:, None] | ~((mu >= 0.0) & (mu < math.inf))[None, :])
+    if bad.size == 0:
+        return
+    j, i = bad[0]
+    try:
+        base.replace(mu=float(mu[i]), kappa=float(kappa[j]))
+    except Exception as exc:
+        if where is None:
+            raise
+        raise located(exc, where(i, j)) from exc
+
+
+def _run_row(run, mu: np.ndarray, where):
+    """run(mu) on a whole drive row, or the first single drive that fails.
+
+    When the row fails, each drive is rerun alone in grid order, and the
+    first failure is raised with its location where(i): the error a
+    point-by-point loop would have raised.
+    """
+    try:
+        return run(mu)
+    except Exception:
+        for i in range(mu.size):
+            try:
+                run(mu[i : i + 1])
+            except Exception as exc:
+                raise located(exc, where(i)) from exc
+        raise
 
 
 def phase_diagram(
@@ -166,28 +289,31 @@ def phase_diagram(
     max_re_lambda is the largest real part of the linear-response spectrum
     about the stable state, excluding the single gauge zero mode above
     threshold (it sits at rounding error and carries no stability
-    information).  Per-point failures re-raise with the grid location.
+    information).  The grid is validated first; each kappa row is then
+    solved as one stack (linres.row_spectra).  Failures re-raise with the
+    grid location of the first failing point.
     """
     from . import linres  # deferred: linres depends on this module
 
     if base is None:
         base = SystemParams(gamma0=1.0, gammaP=100.0, tau_r=1.0, g=0.01, mu=0.0)
+    mu = np.asarray(mu_grid, dtype=float)
+    kappas = np.asarray(kappa_grid, dtype=float)
+
+    def where(i, j):
+        return f"phase diagram point (i={i}, j={j}) mu={mu[i]}, kappa={kappas[j]}"
+
+    check_grid(base, mu, kappas, where)
     rows = []
-    for j, kappa in enumerate(np.asarray(kappa_grid, dtype=float)):
-        for i, mu in enumerate(np.asarray(mu_grid, dtype=float)):
-            try:
-                p = base.replace(mu=float(mu), kappa=float(kappa))
-                ss = steady_state(p)
-                spec = linres.eigenspectrum(linres.build_embedded_matrix(p, ss))
-                lam = list(spec.eigenvalues)
-                if ss.phase is not Phase.DISORDERED:
-                    zero = min(lam, key=abs)
-                    if abs(zero) < _GOLDSTONE_TOL * p.gamma0:
-                        lam.remove(zero)
-                max_re = max(v.real for v in lam)
-                rows.append((float(mu), float(kappa), ss.phase, max_re))
-            except Exception as exc:
-                raise located(
-                    exc, f"phase diagram point (i={i}, j={j}) mu={mu}, kappa={kappa}"
-                ) from exc
+    for j, kappa in enumerate(kappas.tolist()):
+        # The per-point route's parameters: tau_r = 1/(gamma0 kappa) and the
+        # kappa rebuilt from it, which may differ from kappa in its last bit.
+        p = base.replace(kappa=kappa)
+
+        def margins(drives):
+            _, row = steady_row(p, drives)
+            return row.phase, linres.row_spectra(p, row, _GOLDSTONE_TOL * p.gamma0)[1]
+
+        phases, max_re = _run_row(margins, mu, lambda i: where(i, j))
+        rows += zip(mu.tolist(), [kappa] * mu.size, phases, max_re.tolist())
     return rows

@@ -302,6 +302,12 @@ def _make_report(
     squeezed = min(finite, key=finite.get)
     amplified = max(values, key=lambda lab: values[lab])
     absolute = {lab: (n_th + 0.5) * values[lab] for lab in VAR_LABELS}
+    for lab in VAR_LABELS:
+        if math.isinf(absolute[lab]) and not divergent[lab]:
+            raise NumericsError(
+                f"absolute variance of {lab} overflows: "
+                f"(n_th + 1/2) * {values[lab]:.3e} with n_th = {n_th:.3e}"
+            )
     return VarianceReport(
         sigma_x_plus=values["x+"],
         sigma_x_minus=values["x-"],

@@ -1,0 +1,162 @@
+"""Reference route for the stacked linear response: one point at a time.
+
+nmpo.meanfield.phase_diagram and nmpo.linres.eigenflow_sweep build the
+embedded generator A for a whole drive row as one (N, n, n) array and take
+its spectra in one stacked eigen-solve.  This module keeps the plain form:
+a SystemParams per point, the scalar steady state, the residual in Python
+complex arithmetic, A filled entry by entry and one eigen-solve per point,
+sorted and trimmed in Python.  Both must give bit-identical results;
+tests/test_linres_stacked.py checks that.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from nmpo.errors import EigensolverFailure, InconsistentSteadyState, ParameterError, located
+from nmpo.linres import (
+    LABELS_FULL,
+    LABELS_MARKOV,
+    RESIDUAL_TOL,
+    STABLE_TOL,
+    EigenflowResult,
+    EigenSpectrum,
+    EmbeddedMatrix,
+    exceptional_point_drive,
+)
+from nmpo.meanfield import (
+    Phase,
+    SteadyState,
+    critical_drive,
+    mode_amplitudes,
+    steady_state,
+    steady_state_branch,
+)
+from nmpo.model import SystemParams, kernel_freq
+
+_GOLDSTONE_TOL = 1e-6
+
+
+def steady_state_residual(params: SystemParams, ss: SteadyState) -> float:
+    g0, gp, mu = params.gamma0, params.gammaP, params.mu
+    a_i, a_s, a_p = mode_amplitudes(ss, 0.0)
+    b = ss.z2_branch
+    rot = b * ss.delta
+    kern = params.kernel
+    g_i = kernel_freq(kern, -rot)
+    g_s = kernel_freq(kern, +rot)
+    res_i = 0.5 * (-g_i * a_i + 1j * g0 * np.conj(a_s) * a_p) - 1j * rot * a_i
+    res_s = 0.5 * (-g_s * a_s + 1j * g0 * np.conj(a_i) * a_p) + 1j * rot * a_s
+    res_p = 0.5 * (-gp * a_p + 1j * gp * (a_i * a_s + mu))
+    return max(abs(res_i) / g0, abs(res_s) / g0, abs(res_p) / gp)
+
+
+def build_embedded_matrix(params: SystemParams, ss: SteadyState) -> EmbeddedMatrix:
+    res = steady_state_residual(params, ss)
+    if res > RESIDUAL_TOL:
+        raise InconsistentSteadyState(
+            f"stationarity residual {res:.3e} exceeds {RESIDUAL_TOL:.0e}"
+        )
+    g0, gp = params.gamma0, params.gammaP
+    pump = ss.pump_amp
+    if abs(pump.real) > 1e-12 * max(1.0, abs(pump)):
+        raise InconsistentSteadyState("pump amplitude not on the imaginary axis")
+    P = pump.imag
+    S = ss.amp_signal
+    dlt = ss.z2_branch * ss.delta
+    gc = g0 * S / math.sqrt(2.0)
+    gpc = gp * S / math.sqrt(2.0)
+    markov = params.markovian
+    n = 6 if markov else 10
+    m = np.zeros((n, n))
+    m[0, 0] += -g0 * P / 2.0
+    m[0, 2] += gc
+    m[1, 1] += +g0 * P / 2.0
+    m[2, 0] += -gpc
+    m[2, 2] += -gp / 2.0
+    m[3, 3] += +g0 * P / 2.0
+    m[3, 5] += gc
+    m[4, 4] += -g0 * P / 2.0
+    m[5, 3] += -gpc
+    m[5, 5] += -gp / 2.0
+    m[0, 4] += -dlt
+    m[1, 3] += -dlt
+    m[3, 1] += +dlt
+    m[4, 0] += +dlt
+    if markov:
+        for q in (0, 1, 3, 4):
+            m[q, q] += -g0 / 2.0
+        return EmbeddedMatrix(m, LABELS_MARKOV, "corotating" if dlt != 0.0 else "static")
+    tau = params.tau_r
+    for k, q in enumerate((0, 1, 3, 4)):
+        m[q, 6 + k] += -0.5
+        m[6 + k, q] += g0 / tau
+        m[6 + k, 6 + k] += -1.0 / tau
+    m[6, 9] += -dlt
+    m[7, 8] += -dlt
+    m[8, 7] += +dlt
+    m[9, 6] += +dlt
+    return EmbeddedMatrix(m, LABELS_FULL, "corotating" if dlt != 0.0 else "static")
+
+
+def eigenspectrum(em: EmbeddedMatrix) -> EigenSpectrum:
+    try:
+        vals = np.linalg.eigvals(em.matrix)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverFailure(f"eigensolver did not converge: {exc}") from exc
+    if not np.all(np.isfinite(vals)):
+        raise EigensolverFailure("eigensolver returned non-finite eigenvalues")
+    ordered = sorted((complex(v) for v in vals), key=lambda z: (-z.real, -z.imag))
+    max_re = ordered[0].real
+    return EigenSpectrum(tuple(ordered), max_re, max_re <= STABLE_TOL)
+
+
+def phase_diagram(mu_grid, kappa_grid, base: SystemParams | None = None):
+    if base is None:
+        base = SystemParams(gamma0=1.0, gammaP=100.0, tau_r=1.0, g=0.01, mu=0.0)
+    rows = []
+    for j, kappa in enumerate(np.asarray(kappa_grid, dtype=float)):
+        for i, mu in enumerate(np.asarray(mu_grid, dtype=float)):
+            try:
+                p = base.replace(mu=float(mu), kappa=float(kappa))
+                ss = steady_state(p)
+                spec = eigenspectrum(build_embedded_matrix(p, ss))
+                lam = list(spec.eigenvalues)
+                if ss.phase is not Phase.DISORDERED:
+                    zero = min(lam, key=abs)
+                    if abs(zero) < _GOLDSTONE_TOL * p.gamma0:
+                        lam.remove(zero)
+                max_re = max(v.real for v in lam)
+                rows.append((float(mu), float(kappa), ss.phase, max_re))
+            except Exception as exc:
+                raise located(
+                    exc, f"phase diagram point (i={i}, j={j}) mu={mu}, kappa={kappa}"
+                ) from exc
+    return rows
+
+
+def eigenflow_sweep(kappa, mu_grid, phases=None, base: SystemParams | None = None):
+    if base is None:
+        base = SystemParams(gamma0=1.0, gammaP=100.0, tau_r=1.0, g=0.01, mu=0.0)
+    if phases is None:
+        phases = (Phase.DISORDERED, Phase.U1)
+        if kappa < 0.5:
+            phases += (Phase.U1XZ2,)
+    rows = []
+    for mu in np.asarray(mu_grid, dtype=float):
+        p = base.replace(mu=float(mu), kappa=float(kappa))
+        for ph in phases:
+            try:
+                ss = steady_state_branch(p, ph)
+            except ParameterError:
+                continue
+            spec = eigenspectrum(build_embedded_matrix(p, ss))
+            rows.append((float(mu), ph, spec.eigenvalues))
+    return EigenflowResult(
+        kappa=float(kappa),
+        rows=tuple(rows),
+        mu_cr=critical_drive(kappa),
+        mu_ep=exceptional_point_drive(kappa) if kappa != math.inf else None,
+    )

@@ -49,6 +49,27 @@ def test_bad_grid_spec(capsys):
     assert json.loads(err)["error"] == "ParameterError"
 
 
+def test_main_reuses_one_parser_without_leaking_state(capsys):
+    argvs = [
+        ("steady-state", "--mu", "1", "--kappa", "0.2", "--z2-branch", "-1", "--phi", "0.4"),
+        ("steady-state", "--bogus"),
+        ("phase-diagram", "--mu", "0:2:5", "--kappa", "0.2,inf", "--gamma0", "1.3"),
+        ("phase-diagram", "--mu", "0:2"),
+        ("steady-state", "--mu", "1", "--kappa", "0.2"),
+        ("eigenflow", "--mu", "0:2:3", "--tau-r", "2"),
+        ("variances", "--mu", "0.5", "--method", "closed"),
+        ("phase-diagram", "--mu", "0:2:5", "--kappa", "0.2,inf"),
+    ]
+    alone = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    together = [run(capsys, *argv) for argv in argvs]
+    assert together == alone
+    assert [rc for rc, _, _ in together] == [0, 2, 0, 2, 0, 0, 0, 0]
+    assert cli._build_parser.cache_info().misses == 1
+
+
 # === scalar reports ===========================================================
 
 
@@ -178,6 +199,10 @@ def test_negativity_stays_finite_where_the_variance_underflows(capsys, kappa):
           "--format", "json"), "ParameterError"),
         (("variances", "--mu", "0.5", "--kappa", "1", "--method", "integrate", "--nth", "inf"),
          "NegativeOccupancy"),
+        (("phase-diagram", "--mu", "nan"), "ParameterError"),
+        (("phase-diagram", "--mu", "-1"), "ParameterError"),
+        (("phase-diagram", "--mu", "0:1:3", "--kappa", "1,nan"), "NonPositiveRate"),
+        (("eigenflow", "--mu", "0:1:3", "--kappa", "1,-1"), "NonPositiveRate"),
     ],
 )
 def test_invalid_grid_points_exit_2_with_their_error_class(capsys, argv, error):
@@ -185,6 +210,53 @@ def test_invalid_grid_points_exit_2_with_their_error_class(capsys, argv, error):
     assert rc == 2
     assert out == ""
     assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize(
+    "argv,detail",
+    [
+        (("--mu", "nan"), "phase diagram point (i=0, j=0) mu=nan, kappa=0.05: "
+         "mu: must be non-negative and finite, got nan"),
+        (("--mu", "-1"), "phase diagram point (i=0, j=0) mu=-1.0, kappa=0.05: "
+         "mu: must be non-negative and finite, got -1.0"),
+        (("--mu", "0:1:3", "--kappa", "1,nan"),
+         "phase diagram point (i=0, j=1) mu=0.0, kappa=nan: kappa must be > 0, got nan"),
+        (("--mu", "0:1:3", "--kappa", "1,-1"),
+         "phase diagram point (i=0, j=1) mu=0.0, kappa=-1.0: kappa must be > 0, got -1.0"),
+        # an invalid point is reported before a numerical failure earlier in the grid
+        (("--mu", "1e10,0.5,nan", "--kappa", "1"), "phase diagram point (i=2, j=0) mu=nan, "
+         "kappa=1.0: mu: must be non-negative and finite, got nan"),
+    ],
+)
+def test_invalid_phase_diagram_points_are_named(capsys, argv, detail):
+    rc, out, err = run(capsys, "phase-diagram", *argv)
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err)["detail"] == detail
+
+
+def test_failing_grid_points_are_named(capsys):
+    rc, out, err = run(capsys, "phase-diagram", "--mu", "0,1e10,1e12", "--kappa", "0.2,1")
+    assert (rc, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "InconsistentSteadyState",
+        "detail": "phase diagram point (i=1, j=0) mu=10000000000.0, kappa=0.2: "
+        "stationarity residual 1.907e-07 exceeds 1e-08",
+    }
+    rc, out, err = run(capsys, "eigenflow", "--mu", "0,1e10", "--kappa", "1")
+    assert (rc, out) == (3, "")
+    assert json.loads(err)["detail"] == (
+        "eigenflow point (i=1) mu=10000000000.0, kappa=1.0: "
+        "stationarity residual 9.537e-07 exceeds 1e-08"
+    )
+
+
+def test_absolute_variance_overflow_exits_3(capsys):
+    # sigma y+ = 2e29 is finite, (n_th + 1/2) sigma is not
+    rc, out, err = run(capsys, "variances", "--mu", "1.000000000000001", "--kappa", "0.5",
+                       "--method", "closed", "--nth", "1e300", "--format", "json")
+    assert (rc, out) == (3, "")
+    assert json.loads(err)["error"] == "NumericsError"
 
 
 def _close(got, want):

@@ -1,12 +1,14 @@
 """Property test of the closed forms: every input either raises a
-ParameterError or gives NaN-free output whose infinities are flagged."""
+ParameterError, raises a NumericsError because a finite variance overflows
+once scaled by (n_th + 1/2), or gives NaN-free output whose infinities
+(normalized and absolute) are flagged."""
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nmpo.errors import ParameterError
+from nmpo.errors import NumericsError, ParameterError
 from nmpo.spectra import (
     VAR_LABELS,
     negativity_map,
@@ -28,14 +30,22 @@ def _check_report(call):
         rep = call()
     except ParameterError:
         return
+    except NumericsError as exc:
+        assert "overflows" in str(exc), exc
+        return
     for lab, value in rep.normalized().items():
         assert not math.isnan(value), (lab, value)
         assert not math.isinf(value) or rep.divergent[lab], (lab, value)
-    assert not any(math.isnan(rep.absolute[lab]) for lab in VAR_LABELS), rep.absolute
+    for lab in VAR_LABELS:
+        value = rep.absolute[lab]
+        assert not math.isnan(value), (lab, rep.absolute)
+        assert not math.isinf(value) or rep.divergent[lab], (lab, rep.absolute)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(MU, KAPPA, OCCUPANCY, st.none() | OCCUPANCY, st.booleans())
+# y+ is finite (2e29) just above threshold, and (n_th + 1/2) y+ overflows
+@example(1.000000000000001, 0.5, 1e300, None, False)
 def test_closed_forms_raise_or_give_flagged_finite_values(mu, kappa, n_th, n_th_P, extrapolate):
     _check_report(lambda: variances_below_threshold(mu, kappa, n_th, extrapolate=extrapolate))
     _check_report(lambda: variances_above_threshold_u1(mu, kappa, n_th, n_th_P))
