@@ -287,7 +287,9 @@ def _variance_report_at(args, mu: float, kappa: float, method: str):
         method = "integrate" if phase is Phase.U1XZ2 else "closed"
     if method == "closed":
         if phase is Phase.DISORDERED:
-            return phase, variances_below_threshold(mu, kappa, args.nth)
+            # mu = mu_cr counts as disordered: the squeezed pair is exact
+            # there and the amplified pair is flagged divergent.
+            return phase, variances_below_threshold(mu, kappa, args.nth, extrapolate=True)
         if phase is Phase.U1:
             return phase, variances_above_threshold_u1(mu, kappa, args.nth, args.nth_pump)
         raise ParameterError(

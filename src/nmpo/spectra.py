@@ -85,26 +85,50 @@ def _thermal_scale(params: SystemParams) -> tuple[float, float]:
     return s2, navg + 0.5
 
 
-def _eliminate_memory(a: np.ndarray, omega: float) -> tuple[np.ndarray, np.ndarray]:
-    """(Sigma~(omega) + i omega I, A_pm R); the memory block of a Markovian a
-    is empty, so A_pm R is 6x0 and adds nothing."""
-    iw = 1j * omega
+def _h(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def _eliminate_memory(a: np.ndarray, omega) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(omega, Sigma~(omega) + i omega I, A_pm R) stacked over a frequency grid.
+
+    omega must be a 1-D array of finite frequencies (ParameterError
+    otherwise); the two stacks are (N, 6, 6) and (N, 6, n - 6).  The memory
+    block of a Markovian a is empty, so A_pm R is 6x0 and adds nothing.
+    """
+    try:
+        om = np.asarray(omega, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(
+            f"omega_grid must be real frequencies: {exc}", [("omega_grid", "must be real")]
+        ) from exc
+    if om.ndim != 1 or not np.isfinite(om).all():
+        raise ParameterError(
+            f"omega_grid must be a 1-D array of finite frequencies, got shape {om.shape} "
+            f"with {np.count_nonzero(~np.isfinite(om))} non-finite",
+            [("omega_grid", "must be 1-D and finite")],
+        )
+    iw = 1j * om[:, None, None]
     feed = a[:6, 6:] @ np.linalg.inv(-iw * np.eye(a.shape[0] - 6) - a[6:, 6:])
-    return a[:6, :6] + iw * np.eye(6) + feed @ a[6:, :6], feed
+    return om, a[:6, :6] + iw * np.eye(6) + feed @ a[6:, :6], feed
 
 
 def _force_psd(d: np.ndarray, feed: np.ndarray) -> np.ndarray:
     """D(omega) = D_pp + A_pm R D_mm R^H A_pm^T, made exactly Hermitian."""
-    force = d[:6, :6] + feed @ d[6:, 6:] @ feed.conj().T
-    return 0.5 * (force + force.conj().T)
+    force = d[:6, :6] + feed @ d[6:, 6:] @ _h(feed)
+    return 0.5 * (force + _h(force))
 
 
-def _check_response(m: np.ndarray, omega: float) -> None:
+def _check_response(m: np.ndarray, om: np.ndarray) -> None:
+    """SingularAtFrequency at the first omega of the grid where m is singular."""
     sv = np.linalg.svd(m, compute_uv=False)
-    if sv[-1] < _SINGULAR_RTOL * sv[0]:
+    singular = sv[:, -1] < _SINGULAR_RTOL * sv[:, 0]
+    if singular.any():
+        k = int(np.argmax(singular))
         raise SingularAtFrequency(
-            f"response matrix singular at omega = {omega}: "
-            f"smallest/largest singular value = {sv[-1]:.3e}/{sv[0]:.3e}"
+            f"response matrix singular at omega = {om[k]}: "
+            f"smallest/largest singular value = {sv[k, -1]:.3e}/{sv[k, 0]:.3e}"
         )
 
 
@@ -116,9 +140,9 @@ def susceptibility_at(params: SystemParams, ss: SteadyState, omega: float) -> np
     singular (gapless states at omega = 0, or exactly at a critical point);
     the marginal-mode rule relies on this.
     """
-    m, _ = _eliminate_memory(linres.build_embedded_matrix(params, ss).matrix, float(omega))
-    _check_response(m, omega)
-    return m
+    om, m, _ = _eliminate_memory(linres.build_embedded_matrix(params, ss).matrix, [omega])
+    _check_response(m, om)
+    return m[0]
 
 
 @dataclass(frozen=True)
@@ -141,9 +165,9 @@ def diffusion_matrix(
     """Force PSD matrix; pump noise defaults to on above threshold only."""
     if include_pump is None:
         include_pump = ss.phase is not Phase.DISORDERED
-    _, feed = _eliminate_memory(linres.build_embedded_matrix(params, ss).matrix, float(omega))
-    force = _force_psd(linres.build_diffusion(params, include_pump), feed)
-    return DiffusionMatrix(float(omega), force, include_pump)
+    om, _, feed = _eliminate_memory(linres.build_embedded_matrix(params, ss).matrix, [omega])
+    force = _force_psd(linres.build_diffusion(params, include_pump), feed)[0]
+    return DiffusionMatrix(float(om[0]), force, include_pump)
 
 
 def _marginal_rule(params: SystemParams, ss: SteadyState):
@@ -193,7 +217,8 @@ class SpectralData:
     """PSD matrices of the cross-quadratures on a symmetric frequency grid.
 
     matrices[k] is the Hermitian 6x6 PSD at omega[k]; X and Y sectors sit in
-    one matrix (block-diagonal unless the frame rotates).
+    one matrix (block-diagonal unless the frame rotates).  generator and
+    diffusion are the embedded pair (A, D) the spectrum was derived from.
     """
 
     omega: np.ndarray
@@ -203,6 +228,8 @@ class SpectralData:
     params: SystemParams
     ss: SteadyState
     include_pump: bool
+    generator: linres.EmbeddedMatrix
+    diffusion: np.ndarray
 
 
 def psd(
@@ -218,7 +245,8 @@ def psd(
     gapless states are fine as long as the grid avoids omega = 0 exactly,
     which the default even-count grid does.  Pump noise defaults to off
     below threshold and on above, matching the force model of the
-    stochastic integrator.
+    stochastic integrator.  The grid is evaluated as one (N, 6, 6) stack;
+    SingularAtFrequency names its first singular frequency in grid order.
     """
     if include_pump is None:
         include_pump = ss.phase is not Phase.DISORDERED
@@ -233,16 +261,13 @@ def psd(
     if omega_grid is None:
         w = 30.0 * params.gamma0 + 3.0 * (params.gammaP if include_pump else params.gamma0)
         omega_grid = np.linspace(-w, w, max(2, n_grid))
-    om = np.asarray(omega_grid, dtype=float)
+    om, m, feed = _eliminate_memory(em.matrix, omega_grid)
+    _check_response(m, om)
     d = linres.build_diffusion(params, include_pump)
-    mats = np.empty((om.size, 6, 6), dtype=complex)
-    for k, w_k in enumerate(om):
-        m, feed = _eliminate_memory(em.matrix, float(w_k))
-        _check_response(m, w_k)
-        chi = np.linalg.inv(m)
-        s = chi @ _force_psd(d, feed) @ chi.conj().T / (2.0 * math.pi)
-        mats[k] = 0.5 * (s + s.conj().T)
-    return SpectralData(om, mats, QUAD_LABELS, em.frame, params, ss, include_pump)
+    chi = np.linalg.inv(m)
+    s = chi @ _force_psd(d, feed) @ _h(chi) / (2.0 * math.pi)
+    mats = 0.5 * (s + _h(s))
+    return SpectralData(om, mats, QUAD_LABELS, em.frame, params, ss, include_pump, em, d)
 
 
 @dataclass(frozen=True)
@@ -328,8 +353,9 @@ def _make_report(
 def integrate_variances(sd: SpectralData) -> VarianceReport:
     """Equal-time variances: the stationary covariance of the pair (A, D).
 
-    Solves A C + C A^T + D = 0 in the embedded variables and reads the
-    cross-quadrature block; the stored PSD grid is for inspection only.
+    Solves A C + C A^T + D = 0 for the pair (A, D) that sd carries, in the
+    embedded variables, and reads the cross-quadrature block; the stored
+    PSD grid is for inspection only.
     Marginal modes (see _marginal_rule) are removed with their real spectral projector
     P: the solve uses A - (A + gamma0) P, which moves them to -gamma0, and
     the projected noise (I - P) D (I - P)^T.  Quadratures touched by the
@@ -338,8 +364,7 @@ def integrate_variances(sd: SpectralData) -> VarianceReport:
     covariance, NaN in their off-diagonal entries.
     """
     params, ss = sd.params, sd.ss
-    a = linres.build_embedded_matrix(params, ss).matrix
-    d = linres.build_diffusion(params, sd.include_pump)
+    a, d = sd.generator.matrix, sd.diffusion
     proj, touched = _marginal_projector(a, _marginal_rule(params, ss))
     eye = np.eye(a.shape[0])
     keep = eye - proj

@@ -113,6 +113,37 @@ def test_variances_closed_unavailable_in_rotating_phase(capsys):
     assert diag["violations"][0][0] == "method"
 
 
+@pytest.mark.parametrize("kappa", ["0.2", "0.5", "1", "inf"])
+def test_variances_at_threshold_closed_agrees_with_integrate(capsys, kappa):
+    from nmpo.meanfield import critical_drive
+
+    mu = repr(critical_drive(float(kappa)))
+    docs = {}
+    for method in ("auto", "closed", "integrate"):
+        rc, out, err = run(capsys, "variances", "--mu", mu, "--kappa", kappa,
+                           "--method", method)
+        assert rc == 0, err
+        docs[method] = json.loads(out)
+    want = docs["integrate"]
+    assert want["divergent"] == {"x+": False, "x-": True, "y+": True, "y-": False}
+    for method in ("auto", "closed"):
+        doc = docs[method]
+        assert doc["phase"] == "disordered"
+        assert doc["divergent"] == want["divergent"]
+        for lab in ("x+", "y-"):
+            assert doc["sigma"][lab] == pytest.approx(want["sigma"][lab], rel=1e-9, abs=0.0)
+        assert doc["sigma"]["x-"] == doc["sigma"]["y+"] == "inf"
+
+
+def test_variances_grid_through_threshold_uses_the_closed_forms(capsys):
+    rc, out, err = run(capsys, "variances", "--mu", "0:2:5", "--kappa", "1")
+    assert rc == 0, err
+    _, rows = data_rows(out)
+    at_threshold = {r[0]: r for r in rows}["1"]
+    assert at_threshold[2] == "disordered"
+    assert at_threshold[-4:] == ["0", "1", "1", "0"]
+
+
 # === grid outputs =============================================================
 
 

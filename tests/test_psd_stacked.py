@@ -1,0 +1,150 @@
+"""The stacked PSD against the frequency-by-frequency oracle.
+
+spectra.psd evaluates its grid as one (N, 6, 6) stack, and susceptibility_at
+and diffusion_matrix are the one-frequency case of the same elimination;
+tests/psd_oracle.py keeps the loop they replace.  Results must agree bit
+for bit, and a singular grid must fail with the same message.
+"""
+
+import math
+import warnings
+
+import pytest
+
+import psd_oracle as oracle
+from nmpo import linres, spectra
+from nmpo.errors import ParameterError, SingularAtFrequency, SlowPumpWarning
+from nmpo.meanfield import Phase, critical_drive, steady_state
+from nmpo.model import SystemParams
+from nmpo.spectra import diffusion_matrix, integrate_variances, psd, susceptibility_at
+
+
+def params(mu, kappa):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SlowPumpWarning)
+        return SystemParams.from_kappa(gamma0=1.0, gammaP=100.0, kappa=kappa, g=0.01, mu=mu)
+
+
+# (mu, kappa) of one state per phase, the boundary at kappa above and below
+# 1/2, and the Markovian limit below, at and above threshold.
+STATES = {
+    "disordered": (0.5, 1.0),
+    "u1": (1.5, 1.0),
+    "u1xz2": (1.5, 0.2),
+    "boundary": (critical_drive(1.0), 1.0),
+    "boundary-rotating": (critical_drive(0.2), 0.2),
+    "markov-disordered": (0.5, math.inf),
+    "markov-boundary": (critical_drive(math.inf), math.inf),
+    "markov-u1": (1.5, math.inf),
+}
+GRIDS = {
+    "default": {},
+    "n64": {"n_grid": 64},
+    "user": {"omega_grid": [-7.5, -0.3, 1e-3, 0.25, 2.0, 40.0]},
+    "user-no-pump": {"omega_grid": [-2.0, 0.5, 3.0], "include_pump": False},
+}
+
+
+def at(name):
+    p = params(*STATES[name])
+    return p, steady_state(p)
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+@pytest.mark.parametrize("state", STATES)
+def test_psd_equals_the_frequency_loop(state, grid):
+    p, ss = at(state)
+    om, mats, frame = oracle.psd(p, ss, **GRIDS[grid])
+    sd = psd(p, ss, **GRIDS[grid])
+    assert sd.omega.tobytes() == om.tobytes()
+    assert sd.matrices.shape == mats.shape
+    assert sd.matrices.tobytes() == mats.tobytes()
+    assert sd.frame == frame
+
+
+@pytest.mark.parametrize("state", STATES)
+def test_one_frequency_helpers_equal_the_frequency_loop(state):
+    p, ss = at(state)
+    for w in (-3.0, 0.25, 17.0):
+        assert susceptibility_at(p, ss, w).tobytes() == oracle.susceptibility_at(p, ss, w).tobytes()
+        for pump in (None, True, False):
+            got = diffusion_matrix(p, ss, w, pump)
+            assert got.matrix.tobytes() == oracle.diffusion_matrix(p, ss, w, pump).tobytes()
+            assert got.omega == w
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [[0.0, 1.0, 2.0], [-2.0, 1.0, 0.0], [-1e-300, 0.0, 1.0], [1.0, -0.0, 0.0]],
+    ids=["first", "last", "after-tiny", "signed-zero-first"],
+)
+@pytest.mark.parametrize("state", ["u1", "markov-u1"])
+def test_singular_grid_names_its_first_singular_frequency(state, grid):
+    # The gauge zero mode makes the response singular at omega = 0.
+    p, ss = at(state)
+    with pytest.raises(SingularAtFrequency) as want:
+        oracle.psd(p, ss, omega_grid=grid)
+    with pytest.raises(SingularAtFrequency) as got:
+        psd(p, ss, omega_grid=grid)
+    assert str(got.value) == str(want.value)
+
+
+def test_singular_frequency_message_at_one_frequency():
+    p, ss = at("u1")
+    with pytest.raises(SingularAtFrequency) as want:
+        oracle.susceptibility_at(p, ss, 0.0)
+    with pytest.raises(SingularAtFrequency) as got:
+        susceptibility_at(p, ss, 0.0)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [[math.nan, 1.0], [math.inf], [-1.0, -math.inf], [[1.0, 2.0], [3.0, 4.0]], 1.0, ["x"]],
+    ids=["nan", "inf", "minus-inf", "2-d", "scalar", "not-a-number"],
+)
+@pytest.mark.parametrize("state", ["disordered", "markov-disordered"])
+def test_bad_grid_is_a_parameter_error(state, grid):
+    p, ss = at(state)
+    with pytest.raises(ParameterError) as exc:
+        psd(p, ss, omega_grid=grid)
+    assert exc.value.violations[0][0] == "omega_grid"
+
+
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+def test_one_frequency_helpers_reject_non_finite_omega(omega):
+    p, ss = at("disordered")
+    with pytest.raises(ParameterError):
+        susceptibility_at(p, ss, omega)
+    with pytest.raises(ParameterError):
+        diffusion_matrix(p, ss, omega)
+
+
+@pytest.mark.parametrize("state", ["disordered", "markov-disordered"])
+def test_empty_grid_gives_an_empty_stack(state):
+    p, ss = at(state)
+    sd = psd(p, ss, omega_grid=[])
+    assert sd.omega.shape == (0,)
+    assert sd.matrices.shape == (0, 6, 6) and sd.matrices.dtype == complex
+
+
+@pytest.mark.parametrize("state", ["disordered", "u1", "u1xz2", "markov-u1"])
+def test_spectral_data_carries_the_pair_it_was_built_from(state):
+    p, ss = at(state)
+    sd = psd(p, ss, n_grid=8)
+    assert sd.generator.matrix.tobytes() == linres.build_embedded_matrix(p, ss).matrix.tobytes()
+    assert sd.generator.frame == sd.frame
+    assert sd.diffusion.tobytes() == linres.build_diffusion(p, sd.include_pump).tobytes()
+
+
+def test_integrate_variances_does_not_rebuild_the_generator(monkeypatch):
+    # A stable disordered state has no marginal candidate, so nothing in
+    # integrate_variances needs A beyond the copy psd carries.
+    p, ss = at("disordered")
+    sd = psd(p, ss, n_grid=8)
+    monkeypatch.setattr(linres, "build_embedded_matrix", lambda *args: pytest.fail("rebuilt A"))
+    monkeypatch.setattr(linres, "build_diffusion", lambda *args: pytest.fail("rebuilt D"))
+    rep = integrate_variances(sd)
+    assert ss.phase is Phase.DISORDERED
+    want = spectra.variances_below_threshold(0.5, 1.0).sigma_x_plus
+    assert rep.sigma_x_plus == pytest.approx(want, rel=1e-12)
