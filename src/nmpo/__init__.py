@@ -54,11 +54,6 @@ from .model import (
     MemoryKernel,
     SystemParams,
     kernel_freq,
-    kernel_freq_real,
-    kernel_time,
-    load_params,
-    parse_params_text,
-    validate,
 )
 from .sde import (
     OrderParameterEstimate,
@@ -69,7 +64,6 @@ from .sde import (
     integrate_ensemble,
     integrate_trajectory,
     lockstep_key,
-    ou_noise_step,
 )
 from .spectra import (
     NegativityResult,
@@ -97,8 +91,7 @@ __all__ = [
     "InconsistentSteadyState", "EigensolverFailure", "BracketFailure",
     "SingularAtFrequency", "StepOverflow", "NonStationary",
     # model
-    "MemoryKernel", "SystemParams", "kernel_time", "kernel_freq",
-    "kernel_freq_real", "parse_params_text", "load_params", "validate",
+    "MemoryKernel", "SystemParams", "kernel_freq",
     # meanfield
     "Phase", "SteadyState", "classify_phase", "critical_drive",
     "frequency_shift", "steady_state", "steady_state_branch",
@@ -116,7 +109,7 @@ __all__ = [
     "variances_u1xz2", "log_negativity", "negativity_map",
     "negativity_occupancy_sweep",
     # sde
-    "SimConfig", "Trajectory", "OrderParameterEstimate", "ou_noise_step",
+    "SimConfig", "Trajectory", "OrderParameterEstimate",
     "integrate_trajectory", "integrate_ensemble", "lockstep_key",
     "estimate_order_parameters", "estimate_quadrature_variances",
 ]

@@ -97,6 +97,12 @@ def _kappa_values(args, name="--kappa") -> np.ndarray:
     return _parse_values(args.kappa, name)
 
 
+def _scalar_kappa(kappa_grid: np.ndarray, what: str) -> float:
+    if kappa_grid.size != 1:
+        raise ParameterError(f"{what} needs a scalar --kappa", [("kappa", "must be scalar")])
+    return float(kappa_grid[0])
+
+
 def _params_at(args, mu: float, kappa: float) -> SystemParams:
     nth_p = args.nth_pump if args.nth_pump is not None else args.nth
     return SystemParams.from_kappa(
@@ -218,7 +224,7 @@ def _add_common(sub, kappa_default: str | None, nth_list: bool = False):
 
 
 def _cmd_steady_state(args) -> int:
-    kappa = float(_kappa_values(args)[0])
+    kappa = _scalar_kappa(_kappa_values(args), "steady-state")
     p = _params_at(args, args.mu, kappa)
     ss = steady_state(p, z2_branch=args.z2_branch, phi=args.phi)
     a_i, a_s, a_p = mode_amplitudes(ss, 0.0)
@@ -364,12 +370,9 @@ def _cmd_negativity(args) -> int:
     kappa_grid = _kappa_values(args)
     nth_values = _parse_values(args.nth, "--nth")
     if nth_values.size > 1 or args.markovian_comparator:
-        if kappa_grid.size != 1:
-            raise ParameterError(
-                "occupancy sweep needs a scalar --kappa", [("kappa", "must be scalar")]
-            )
         rows = negativity_occupancy_sweep(
-            float(kappa_grid[0]), mu_grid, nth_values, args.markovian_comparator
+            _scalar_kappa(kappa_grid, "occupancy sweep"), mu_grid, nth_values,
+            args.markovian_comparator,
         )
     else:
         rows = negativity_map(mu_grid, kappa_grid, float(nth_values[0]))
@@ -384,13 +387,8 @@ def _cmd_negativity(args) -> int:
 
 
 def _dump_trajectory(args, traj) -> None:
-    dec = max(1, args.decimate)
+    dec = args.decimate
     idx = args.traj_index
-    if not (0 <= idx < traj.config.n_traj):
-        raise ParameterError(
-            f"--traj-index {idx} out of range for n_traj={traj.config.n_traj}",
-            [("traj_index", "out of range")],
-        )
     cols = ["t"]
     series = [traj.t[::dec]]
     for name in ("A_i", "A_s", "A_P"):
@@ -428,13 +426,23 @@ def _cmd_simulate(args) -> int:
             noise=not args.no_noise,
         )
 
-    # Build and check every row before integrating any.
+    # Build and check every row, and the options read after integrating,
+    # before integrating any row.
     rows = []
     for i, kappa in enumerate(kappa_values):
         p = _params_at(args, args.mu, float(kappa))
         cfg = config_for(p, args.seed + i)
         cfg.check_against(p)
         rows.append((p, cfg))
+    bad = []
+    if args.quadratures and not single:
+        bad.append(("quadratures", "needs a scalar --kappa"))
+    if args.decimate < 1:
+        bad.append(("decimate", f"must be >= 1, got {args.decimate}"))
+    if not 0 <= args.traj_index < args.n_traj:
+        bad.append(("traj_index", f"{args.traj_index} out of range for n_traj={args.n_traj}"))
+    if bad:
+        raise ParameterError("; ".join(f"{f}: {m}" for f, m in bad), bad)
     # Runs of neighbouring rows that can share a step loop integrate in
     # lockstep; a run of one row is integrated alone.
     estimated = []

@@ -41,21 +41,6 @@ ADIABATIC_PUMP_RATIO = 100.0
 
 
 @dataclass(frozen=True)
-class DeltaAtOrigin:
-    """Sentinel for the Markovian kernel evaluated at t = 0.
-
-    The tau_r -> 0 kernel is a Dirac delta of the given weight; it has no
-    finite value at the origin, so time-domain evaluation returns this
-    marker instead of a number.
-    """
-
-    weight: float
-
-    def __bool__(self) -> bool:
-        return True
-
-
-@dataclass(frozen=True)
 class MemoryKernel:
     """Exponential damping kernel with total weight gamma0."""
 
@@ -75,32 +60,6 @@ class MemoryKernel:
             )
 
 
-def kernel_time(kernel: MemoryKernel, t):
-    """Evaluate gamma(t); causal, so zero for t < 0.
-
-    For tau_r = 0 returns DeltaAtOrigin(gamma0) at t = 0 (scalar input only)
-    and 0.0 elsewhere: the Markovian kernel is never represented by a finite
-    number at the origin.
-    """
-    if kernel.tau_r == 0.0:
-        if np.ndim(t) == 0:
-            if t == 0:
-                return DeltaAtOrigin(kernel.gamma0)
-            return 0.0
-        t = np.asarray(t, dtype=float)
-        if np.any(t == 0):
-            raise ParameterError(
-                "Markovian kernel has no finite value at t = 0; "
-                "evaluate scalar t = 0 to receive the delta sentinel"
-            )
-        return np.zeros_like(t)
-    t_arr = np.asarray(t, dtype=float)
-    out = np.where(t_arr >= 0, np.exp(-t_arr / kernel.tau_r) * (kernel.gamma0 / kernel.tau_r), 0.0)
-    if np.ndim(t) == 0:
-        return float(out)
-    return out
-
-
 def kernel_freq(kernel: MemoryKernel, omega):
     """Fourier transform gamma~(omega) = gamma0 / (1 - i*omega*tau_r).
 
@@ -112,15 +71,6 @@ def kernel_freq(kernel: MemoryKernel, omega):
     out = kernel.gamma0 / (1.0 - 1j * om * kernel.tau_r)
     if np.ndim(omega) == 0:
         return complex(out)
-    return out
-
-
-def kernel_freq_real(kernel: MemoryKernel, omega):
-    """Damping quadrature Re gamma~ = gamma0 / (1 + (omega*tau_r)^2)."""
-    om = np.asarray(omega, dtype=float)
-    out = kernel.gamma0 / (1.0 + (om * kernel.tau_r) ** 2)
-    if np.ndim(omega) == 0:
-        return float(out)
     return out
 
 
@@ -254,96 +204,3 @@ def _collect_violations(p) -> list[tuple[str, str, str]]:
             )
         )
     return out
-
-
-def validate(params: SystemParams) -> SystemParams:
-    """Re-check an existing parameter set, returning it when valid.
-
-    SystemParams already validates on construction; this entry point exists
-    for parameter sets that cross serialization boundaries.
-    """
-    violations = _collect_violations(params)
-    if violations:
-        pairs = [(f, m) for _, f, m in violations]
-        raise ParameterError("; ".join(f"{f}: {m}" for f, m in pairs), pairs)
-    return params
-
-
-# Parameter files: flat "key = value" lines.  kappa and tau_r are mutually
-# exclusive ways to give the memory scale; unknown keys are rejected.
-_PARAM_KEYS = ("gamma0", "gammaP", "tau_r", "kappa", "g", "mu", "n_th_i", "n_th_s", "n_th_P")
-_PARAM_DEFAULTS = {
-    "gamma0": 1.0,
-    "gammaP": 100.0,
-    "g": 0.01,
-    "mu": 0.0,
-    "n_th_i": 0.0,
-    "n_th_s": 0.0,
-    "n_th_P": 0.0,
-}
-
-
-def parse_params_text(text: str) -> SystemParams:
-    """Parse flat key = value parameter text into SystemParams.
-
-    Blank lines and lines starting with '#' are ignored.  Exactly one of
-    tau_r / kappa must be present.  Keys outside the known set are errors.
-    """
-    raw: dict[str, float] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ParameterError(
-                f"line {lineno}: expected 'key = value', got {stripped!r}",
-                [(f"line {lineno}", "not a key = value pair")],
-            )
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        if key not in _PARAM_KEYS:
-            raise ParameterError(
-                f"line {lineno}: unknown key {key!r}", [(key, "unknown parameter key")]
-            )
-        if key in raw:
-            raise ParameterError(
-                f"line {lineno}: duplicate key {key!r}", [(key, "given more than once")]
-            )
-        try:
-            raw[key] = float(value.strip())
-        except ValueError:
-            raise ParameterError(
-                f"line {lineno}: could not parse value for {key!r}: {value.strip()!r}",
-                [(key, "value is not a number")],
-            ) from None
-    if "tau_r" in raw and "kappa" in raw:
-        raise ParameterError(
-            "give either tau_r or kappa, not both",
-            [("tau_r", "mutually exclusive with kappa")],
-        )
-    if "tau_r" not in raw and "kappa" not in raw:
-        raise ParameterError(
-            "one of tau_r or kappa is required",
-            [("tau_r", "missing (or give kappa)")],
-        )
-    merged = dict(_PARAM_DEFAULTS)
-    merged.update(raw)
-    if "kappa" in merged:
-        kappa = merged.pop("kappa")
-        return SystemParams.from_kappa(
-            merged["gamma0"],
-            merged["gammaP"],
-            kappa,
-            merged["g"],
-            merged["mu"],
-            merged["n_th_i"],
-            merged["n_th_s"],
-            merged["n_th_P"],
-        )
-    return SystemParams(**merged)
-
-
-def load_params(path) -> SystemParams:
-    """Read a flat key = value parameter file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_params_text(fh.read())

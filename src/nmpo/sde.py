@@ -140,30 +140,6 @@ class Trajectory:
     config: SimConfig
 
 
-def ou_noise_step(f, dt: float, tau_r: float, strength: float, rng: np.random.Generator):
-    """Exact Ornstein-Uhlenbeck update of a complex force over one step.
-
-    f' = f e^{-dt/tau_r} + eta with eta complex Gaussian of total variance
-    strength * (1 - e^{-2 dt/tau_r}); strength is the stationary complex
-    variance <|f|^2>.  Exactness removes discretization bias from the noise
-    autocorrelation at any dt.
-    """
-    if not (tau_r > 0):
-        raise ParameterError(f"tau_r must be > 0, got {tau_r}", [("tau_r", "must be positive")])
-    if strength < 0:
-        raise ParameterError(
-            f"strength must be >= 0, got {strength}", [("strength", "must be non-negative")]
-        )
-    decay = math.exp(-dt / tau_r)
-    eta_sd = math.sqrt(max(strength * (1.0 - decay * decay), 0.0) / 2.0)
-    shape = np.shape(f)
-    z = rng.standard_normal((2,) + shape)
-    out = np.asarray(f, dtype=complex) * decay + eta_sd * (z[0] + 1j * z[1])
-    if shape == ():
-        return complex(out)
-    return out
-
-
 def _as_state(value, n_traj: int) -> np.ndarray:
     arr = np.asarray(value, dtype=complex)
     if arr.ndim == 0:

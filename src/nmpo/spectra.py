@@ -361,7 +361,8 @@ def integrate_variances(sd: SpectralData) -> VarianceReport:
     the projected noise (I - P) D (I - P)^T.  Quadratures touched by the
     range of P (the gauge quadrature x- above threshold, the amplified pair
     on the boundary) are flagged divergent: inf on the diagonal of
-    covariance, NaN in their off-diagonal entries.
+    covariance, NaN in their off-diagonal entries.  A negative variance
+    of a reported quadrature is a failed solve and raises NumericsError.
     """
     params, ss = sd.params, sd.ss
     a, d = sd.generator.matrix, sd.diffusion
@@ -379,6 +380,9 @@ def integrate_variances(sd: SpectralData) -> VarianceReport:
 
     s2, nhalf = _thermal_scale(params)
     values = {lab: cov[q, q] / (s2 * nhalf) for lab, q in _VAR_INDEX.items()}
+    for lab, v in values.items():
+        if v < 0:
+            raise NumericsError(f"negative variance of {lab}: {v:.3e}")
     return _make_report(values, nhalf - 0.5, covariance=cov)
 
 

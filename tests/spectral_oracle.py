@@ -23,7 +23,12 @@ import math
 import numpy as np
 from scipy.integrate import quad_vec
 
-from nmpo.model import kernel_freq, kernel_freq_real
+from nmpo.model import kernel_freq
+
+
+def _kernel_freq_real(kern, omega: float) -> float:
+    """Damping quadrature Re gamma~ = gamma0 / (1 + (omega*tau_r)^2)."""
+    return kern.gamma0 / (1.0 + (omega * kern.tau_r) ** 2)
 
 
 def drift_freq(params, ss, omega: float) -> np.ndarray:
@@ -63,8 +68,8 @@ def force_psd(params, ss, omega: float, include_pump: bool) -> np.ndarray:
     dlt = ss.z2_branch * ss.delta
     s2 = 2.0 * params.g**2 / (params.gamma0 * params.gammaP)
     sp2 = 2.0 * params.g**2 / params.gamma0**2
-    gp_plus = kernel_freq_real(kern, omega + dlt)
-    gp_minus = kernel_freq_real(kern, omega - dlt)
+    gp_plus = _kernel_freq_real(kern, omega + dlt)
+    gp_minus = _kernel_freq_real(kern, omega - dlt)
     dd = 0.5 * (gp_plus + gp_minus)
     ww = 0.5 * (gp_plus - gp_minus)
     na = 0.5 * (params.n_th_i + params.n_th_s) + 0.5

@@ -290,6 +290,20 @@ def test_absolute_variance_overflow_exits_3(capsys):
     assert json.loads(err)["error"] == "NumericsError"
 
 
+@pytest.mark.parametrize("kappa", ["1e11", "1e14"])
+def test_negative_integrated_variance_exits_3(capsys, kappa):
+    # the Lyapunov solve of the stiff embedded generator returns a negative
+    # x+ variance here; it must never reach the output
+    rc, out, err = run(capsys, "variances", "--mu", "0.5", "--kappa", kappa,
+                       "--method", "integrate", "--format", "csv")
+    assert (rc, out) == (3, "")
+    diag = json.loads(err)
+    assert diag["error"] == "NumericsError"
+    assert diag["detail"].startswith(
+        f"variances at mu=0.5, kappa={float(kappa)}: negative variance of x+: -"
+    )
+
+
 def _close(got, want):
     """Equal structure and text; floats equal to 1e-12."""
     if isinstance(want, dict):
@@ -404,6 +418,35 @@ def test_simulate_checks_every_row_before_integrating(capsys, monkeypatch, kappa
     rc, _, err = run(capsys, "simulate", "--mu", "0.5", "--kappa", kappa, *SIM_FAST, *extra)
     assert rc == 2
     assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (("steady-state", "--kappa", "0.2,1"), "kappa"),
+        (("simulate", "--kappa", "1,2", "--quadratures"), "quadratures"),
+        (("simulate", "--dump-traj", "d.csv", "--decimate", "0"), "decimate"),
+        (("simulate", "--dump-traj", "d.csv", "--decimate", "-3"), "decimate"),
+        (("simulate", "--n-traj", "4", "--dump-traj", "d.csv", "--traj-index", "7"),
+         "traj_index"),
+    ],
+)
+def test_scalar_only_options_are_checked_before_any_work(
+    capsys, monkeypatch, tmp_path, argv, field
+):
+    def integrated(*args, **kwargs):
+        raise AssertionError("integrated before the options were checked")
+
+    monkeypatch.setattr(cli, "integrate_trajectory", integrated)
+    monkeypatch.setattr(cli, "integrate_ensemble", integrated)
+    monkeypatch.chdir(tmp_path)
+    extra = ("--mu", "0.5", *SIM_FAST) if argv[0] == "simulate" else ()
+    rc, out, err = run(capsys, *argv, *extra)
+    assert (rc, out) == (2, "")
+    diag = json.loads(err)
+    assert diag["error"] == "ParameterError"
+    assert [f for f, _ in diag["violations"]] == [field]
+    assert not (tmp_path / "d.csv").exists()
 
 
 # === output plumbing ==========================================================

@@ -26,7 +26,6 @@ from nmpo.sde import (
     integrate_ensemble,
     integrate_trajectory,
     lockstep_key,
-    ou_noise_step,
 )
 from nmpo.spectra import integrate_variances, psd, variances_u1xz2
 
@@ -73,48 +72,50 @@ def test_config_step_and_burn_floors():
     config(dt=0.005, t_burn=400.0).check_against(slow)
 
 
-# === colored-noise update =====================================================
+# === colored-noise forces ====================================================
 
 
-def test_ou_step_continuity_in_dt():
-    rng = np.random.default_rng(0)
-    f = np.array([1.0 + 2.0j, -0.5j])
-    out = ou_noise_step(f, 1e-12, 1.0, 3.0, rng)
-    assert np.allclose(out, f, rtol=0, atol=1e-5)
+def _force_c0(p):
+    """Stationary complex variance <|f|^2> of the colored forces."""
+    return 8.0 * p.g**2 / (p.gamma0**2 * p.gammaP * p.tau_r) * (p.n_th_i + 0.5)
 
 
-def test_ou_step_reaches_stationary_variance_in_one_long_step():
-    rng = np.random.default_rng(1)
-    f = np.zeros(200_000, complex)
-    out = ou_noise_step(f, 50.0, 1.0, 2.5, rng)
-    # total complex variance -> strength
-    assert out.real.var() + out.imag.var() == pytest.approx(2.5, rel=0.02)
-    assert abs(out.mean()) < 0.02
+def _mean_and_se(per_traj):
+    return per_traj.mean(), per_traj.std(ddof=1) / math.sqrt(per_traj.size)
 
 
-def test_ou_step_autocorrelation_decay():
-    rng = np.random.default_rng(2)
-    tau, strength, dt = 0.7, 1.8, 0.1
-    f = ou_noise_step(np.zeros(100_000, complex), 100.0, tau, strength, rng)
-    f0 = f.copy()
-    for k in range(1, 15):
-        f = ou_noise_step(f, dt, tau, strength, rng)
-        corr = np.mean(np.conj(f0) * f).real
-        expect = strength * math.exp(-k * dt / tau)
-        assert corr == pytest.approx(expect, abs=3 * strength / math.sqrt(f.size))
+def test_forces_have_the_stationary_ou_variance_and_correlation():
+    # <|f|^2> = C0 and <conj f(t) f(t + k Delta)> = C0 e^{-k Delta / tau_r},
+    # each estimated per trajectory and checked to 4 standard errors across
+    # the independent trajectories.
+    p = params(0.5, 1.0, nth=0.3)
+    cfg = config(t_burn=20.0, t_sample=10.0, n_traj=400, record_stride=2,
+                 record_fields=("f_i", "f_s"))
+    tr = integrate_trajectory(p, cfg)
+    c0 = _force_c0(p)
+    lag = 2 * cfg.dt
+    for f in (tr.f_i, tr.f_s):
+        mean, se = _mean_and_se(np.mean(np.abs(f) ** 2, axis=0) / c0)
+        assert abs(mean - 1.0) < 4 * se
+        for k in (1, 10, 50):
+            corr = np.mean((np.conj(f[:-k]) * f[k:]).real, axis=0) / c0
+            mean, se = _mean_and_se(corr)
+            assert abs(mean - math.exp(-k * lag / p.tau_r)) < 4 * se
 
 
-def test_ou_step_validation_and_scalar_input():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ParameterError):
-        ou_noise_step(0j, 0.1, 0.0, 1.0, rng)
-    with pytest.raises(ParameterError):
-        ou_noise_step(0j, 0.1, -1.0, 1.0, rng)
-    with pytest.raises(ParameterError):
-        ou_noise_step(0j, 0.1, 1.0, -0.5, rng)
-    out = ou_noise_step(1.0, 0.1, 1.0, 0.0, rng)
-    assert np.iscomplexobj(out)
-    assert complex(out) == pytest.approx(math.exp(-0.1), rel=1e-12)
+def test_noise_free_forces_decay_exactly():
+    # With noise off the update is f -> f e^{-dt/tau_r}: after n steps the
+    # recorded force is f0 e^{-n dt/tau_r} up to one rounding per step.
+    p = params(0.5, 2.0)
+    cfg = config(t_burn=20.0, t_sample=10.0, n_traj=2, record_stride=5,
+                 record_fields=("f_i", "f_s"), noise=False)
+    f0 = np.array([1.0 + 2.0j, -0.5j])
+    tr = integrate_trajectory(p, cfg, initial={"f_i": f0, "f_s": 3.0})
+    n = np.rint((cfg.t_burn + tr.t) / cfg.dt)
+    decay = np.exp(-n * cfg.dt / p.tau_r)[:, None]
+    rtol = n[-1] * np.finfo(float).eps
+    assert np.allclose(tr.f_i, f0 * decay, rtol=rtol, atol=0)
+    assert np.allclose(tr.f_s, 3.0 * decay, rtol=rtol, atol=0)
 
 
 # === integrator basics ========================================================
