@@ -253,10 +253,20 @@ def _start_row(params: SystemParams, config: SimConfig, initial: dict | None) ->
         return _Row(rng, x, f, (w_i, w_s, w_p), 0.0, pump_noise)
     c0_i = (8.0 * params.g**2 / (g0**2 * gp * tau)) * (n_avg_i + 0.5) if noise else 0.0
     c0_s = (8.0 * params.g**2 / (g0**2 * gp * tau)) * (n_avg_s + 0.5) if noise else 0.0
-    ou_decay = math.exp(-dt / tau)
-    eta_i = math.sqrt(max(c0_i * (1.0 - ou_decay**2), 0.0) / 2.0)
-    eta_s = math.sqrt(max(c0_s * (1.0 - ou_decay**2), 0.0) / 2.0)
+    ou_decay, eta_i = _ou_coefficients(c0_i, dt, tau)
+    _, eta_s = _ou_coefficients(c0_s, dt, tau)
     return _Row(rng, x, f, (eta_i, eta_s, w_p), ou_decay, pump_noise)
+
+
+def _ou_coefficients(c0: float, dt: float, tau: float) -> tuple[float, float]:
+    """Decay and noise scale of the exact Ornstein-Uhlenbeck step over dt.
+
+    f' = f * decay + eta * (z1 + i z2) with z1, z2 standard normal keeps the
+    stationary complex variance <|f|^2> = c0 and the correlation
+    c0 e^{-|u|/tau} at any dt.
+    """
+    decay = math.exp(-dt / tau)
+    return decay, math.sqrt(max(c0 * (1.0 - decay**2), 0.0) / 2.0)
 
 
 def integrate_trajectory(

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from nmpo.errors import (
     NegativeOccupancy,
@@ -24,9 +25,6 @@ def test_kernel_freq_values():
     km = MemoryKernel(gamma0=1.0, tau_r=0.0)
     assert kernel_freq(km, 7.0) == 1.0 + 0.0j
     assert kernel_freq(km, -123.0) == 1.0 + 0.0j
-    # the zero-frequency weight is the kernel's total weight gamma0, exactly
-    for g0, tau in ((1.0, 1.0), (2.5, 0.3), (0.4, 4.0), (0.4, 0.0)):
-        assert kernel_freq(MemoryKernel(gamma0=g0, tau_r=tau), 0.0) == g0
 
 
 def test_kernel_freq_conjugate_symmetry_exact():
@@ -41,6 +39,17 @@ def test_kernel_freq_real_part():
     for w in (0.0, 0.3, -1.7, 10.0):
         expect = 1.0 / (1.0 + (w * 2.0) ** 2)
         assert kernel_freq(k, w).real == pytest.approx(expect, rel=1e-14)
+
+
+def test_kernel_time_integral_matches_zero_frequency_weight():
+    # quadrature of gamma(t) = (gamma0 / tau) e^{-t/tau} over [0, 50 tau]
+    # reproduces gamma~(0), which is the total weight gamma0 exactly
+    for g0, tau in ((1.0, 1.0), (2.5, 0.3), (0.4, 4.0)):
+        k = MemoryKernel(gamma0=g0, tau_r=tau)
+        total, _ = quad(lambda t: g0 / tau * math.exp(-t / tau), 0.0, 50.0 * tau, limit=200)
+        assert total == pytest.approx(kernel_freq(k, 0.0).real, rel=1e-8)
+        assert kernel_freq(k, 0.0) == g0
+    assert kernel_freq(MemoryKernel(gamma0=0.4, tau_r=0.0), 0.0) == 0.4
 
 
 # === parameter validation =====================================================

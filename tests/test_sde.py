@@ -24,6 +24,7 @@ from nmpo.sde import (
     estimate_order_parameters,
     estimate_quadrature_variances,
     integrate_ensemble,
+    _ou_coefficients,
     integrate_trajectory,
     lockstep_key,
 )
@@ -84,10 +85,21 @@ def _mean_and_se(per_traj):
     return per_traj.mean(), per_traj.std(ddof=1) / math.sqrt(per_traj.size)
 
 
-def test_forces_have_the_stationary_ou_variance_and_correlation():
-    # <|f|^2> = C0 and <conj f(t) f(t + k Delta)> = C0 e^{-k Delta / tau_r},
-    # each estimated per trajectory and checked to 4 standard errors across
-    # the independent trajectories.
+def test_ou_step_reaches_stationary_variance_in_one_long_step():
+    # One exact step over dt >> tau_r forgets the start: <|f|^2> -> c0.
+    rng = np.random.default_rng(1)
+    decay, eta = _ou_coefficients(2.5, 50.0, 1.0)
+    z = rng.standard_normal((2, 200_000))
+    out = np.zeros(200_000, complex) * decay + eta * (z[0] + 1j * z[1])
+    assert out.real.var() + out.imag.var() == pytest.approx(2.5, rel=0.02)
+    assert abs(out.mean()) < 0.02
+
+
+def test_ou_step_autocorrelation_decay():
+    # The forces the integrator records have <conj f(t) f(t + k Delta)> =
+    # C0 e^{-k Delta / tau_r} (k = 0 is the stationary variance), each
+    # estimated per trajectory and checked to 4 standard errors across the
+    # independent trajectories.
     p = params(0.5, 1.0, nth=0.3)
     cfg = config(t_burn=20.0, t_sample=10.0, n_traj=400, record_stride=2,
                  record_fields=("f_i", "f_s"))
