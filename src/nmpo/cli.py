@@ -23,6 +23,7 @@ from . import __version__
 from .errors import NumericsError, ParameterError, located
 from .linres import build_embedded_matrix, eigenflow_sweep, eigenspectrum
 from .meanfield import (
+    _BASE,
     Phase,
     check_grid,
     classify_phase,
@@ -64,6 +65,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x) -> str:
+    if type(x) is float:
+        return _FMT % x
     if isinstance(x, Phase):
         return x.value
     if isinstance(x, (bool, np.bool_)):
@@ -311,19 +314,31 @@ def _variance_report_at(args, mu: float, kappa: float, method: str):
 
 
 def _cmd_variances(args) -> int:
-    mu_grid = _parse_values(args.mu, "--mu")
-    kappa_grid = _kappa_values(args)
-    single = mu_grid.size == 1 and kappa_grid.size == 1
+    mu_grid = _parse_values(args.mu, "--mu").tolist()
+    kappa_grid = _kappa_values(args).tolist()
+    single = len(mu_grid) == 1 and len(kappa_grid) == 1
     fmt = args.format or ("json" if single else "csv")
+    if fmt == "json" and not single:
+        raise ParameterError(
+            "json output requires scalar --mu and --kappa", [("format", "grid needs csv")]
+        )
+
+    def where(i, j):
+        return f"variances at mu={mu_grid[i]}, kappa={kappa_grid[j]}"
+
+    check_grid(_BASE, mu_grid, kappa_grid, where)
+    reports = []
+    for j, kappa in enumerate(kappa_grid):
+        for i, mu in enumerate(mu_grid):
+            try:
+                reports.append((mu, kappa, *_variance_report_at(args, mu, kappa, args.method)))
+            except NumericsError as exc:
+                raise located(exc, where(i, j)) from exc
     if fmt == "json":
-        if not single:
-            raise ParameterError(
-                "json output requires scalar --mu and --kappa", [("format", "grid needs csv")]
-            )
-        phase, rep = _variance_report_at(args, float(mu_grid[0]), float(kappa_grid[0]), args.method)
+        mu, kappa, phase, rep = reports[0]
         payload = {
-            "mu": float(mu_grid[0]),
-            "kappa": float(kappa_grid[0]),
+            "mu": mu,
+            "kappa": kappa,
             "phase": phase,
             "method": args.method,
             "sigma": rep.normalized(),
@@ -335,22 +350,12 @@ def _cmd_variances(args) -> int:
             "sigma_sq_scan": rep.sigma_sq_scan,
             "theta_sq": rep.theta_sq,
         }
-        _write_json(args, "variances", payload, {"mu": _fmt(mu_grid[0]), "kappa": _fmt(kappa_grid[0])})
+        _write_json(args, "variances", payload, {"mu": _fmt(mu), "kappa": _fmt(kappa)})
         return 0
-
-    def at(mu, kappa):
-        try:
-            phase, rep = _variance_report_at(args, mu, kappa, args.method)
-        except NumericsError as exc:
-            raise located(exc, f"variances at mu={mu}, kappa={kappa}") from exc
-        s = rep.normalized()
-        return (
-            mu, kappa, phase,
-            s["x+"], s["x-"], s["y+"], s["y-"], rep.min_sigma(),
-            rep.divergent["x+"], rep.divergent["x-"], rep.divergent["y+"], rep.divergent["y-"],
-        )
-
-    rows = [at(float(mu), float(kappa)) for kappa in kappa_grid for mu in mu_grid]
+    rows = [
+        (mu, kappa, phase, *rep.normalized().values(), rep.min_sigma(), *rep.divergent.values())
+        for mu, kappa, phase, rep in reports
+    ]
     _write_csv(
         args,
         "variances",

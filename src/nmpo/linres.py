@@ -38,6 +38,8 @@ from .meanfield import (
     Phase,
     SteadyRow,
     SteadyState,
+    _BASE,
+    _broken,
     _run_row,
     check_grid,
     critical_drive,
@@ -275,12 +277,7 @@ def locate_critical_drive(
     the midpoint is below tol in magnitude.
     """
     kappa = params_at_kappa.kappa
-    expected = Phase.U1 if kappa >= 0.5 else Phase.U1XZ2
-    if phase is Phase.DISORDERED:
-        raise ParameterError(
-            "phase must name the broken state whose onset is sought",
-            [("phase", "disordered has no onset")],
-        )
+    expected = _broken(kappa)
     if phase is not expected:
         raise ParameterError(
             f"at kappa = {kappa} the first instability is {expected.value}, not {phase.value}",
@@ -331,16 +328,13 @@ def eigenflow_sweep(
     Branches are linearized about their analytically continued steady state
     wherever that state exists, including where it is unstable, so crossing
     and exchange structure is visible.  Grid points where a branch does not
-    exist are skipped.  The grid is validated first; each branch is then
-    solved as one stack (row_spectra).  A failure re-raises with the drive
-    of the first failing point.
+    exist are skipped (steady_row gives them an empty row).  The grid is
+    validated first; each branch is then solved as one stack (row_spectra).
+    A failure re-raises with the drive of the first failing point.
     """
-    if base is None:
-        base = SystemParams(gamma0=1.0, gammaP=100.0, tau_r=1.0, g=0.01, mu=0.0)
+    base = base or _BASE
     if phases is None:
-        phases = (Phase.DISORDERED, Phase.U1)
-        if kappa < 0.5:
-            phases += (Phase.U1XZ2,)
+        phases = tuple(Phase)
     mu = np.asarray(mu_grid, dtype=float)
     check_grid(base, mu, [kappa])
     p = base.replace(kappa=float(kappa))
@@ -348,10 +342,7 @@ def eigenflow_sweep(
     def branches(drives):
         out = []
         for ph in phases:
-            try:
-                index, row = steady_row(p, drives, ph)
-            except ParameterError:
-                continue  # branch absent at this memory
+            index, row = steady_row(p, drives, ph)
             out.append((ph, index, row_spectra(p, row)[0]))
         return out
 

@@ -33,6 +33,8 @@ from .model import SystemParams, kernel_freq
 
 # |lambda| / gamma0 below which the gauge zero mode (at rounding error) is dropped.
 _GOLDSTONE_TOL = 1e-6
+# Parameters of a grid given without a base, and the base its mu and kappa are checked on.
+_BASE = SystemParams(gamma0=1.0, gammaP=100.0, tau_r=1.0, g=0.01, mu=0.0)
 
 
 class Phase(enum.Enum):
@@ -56,23 +58,28 @@ def frequency_shift(kappa: float) -> float:
     """
     if not (kappa > 0):
         raise NonPositiveRate(f"kappa must be > 0, got {kappa}", [("kappa", "must be positive")])
-    if kappa >= 0.5:
+    if _broken(kappa) is Phase.U1:
         return 0.0
     return kappa * math.sqrt(1.0 / (2.0 * kappa) - 1.0)
+
+
+def _broken(kappa: float) -> Phase:
+    """The broken family that takes over past mu_cr: u1 at kappa >= 1/2, u1xz2 below."""
+    return Phase.U1 if kappa >= 0.5 else Phase.U1XZ2
 
 
 def classify_phase(mu: float, kappa: float) -> Phase:
     """Stable phase at drive mu; the boundary mu = mu_cr counts as disordered."""
     if mu <= critical_drive(kappa):
         return Phase.DISORDERED
-    return Phase.U1 if kappa >= 0.5 else Phase.U1XZ2
+    return _broken(kappa)
 
 
 @dataclass(frozen=True)
 class SteadyState:
     """One stationary solution, possibly on an unstable branch.
 
-    amp is the common magnitude of the signal and idler amplitudes; the full
+    amp_signal is the common magnitude of the signal and idler amplitudes; the full
     complex amplitudes follow from the gauge angle phi and branch via
     mode_amplitudes().  delta is the rotation rate (rad/time, >= 0 as stored;
     the branch carries the sign).  pump_amp is complex and non-rotating.
@@ -80,7 +87,6 @@ class SteadyState:
 
     phase: Phase
     amp_signal: float
-    amp_idler: float
     pump_amp: complex
     delta: float
     z2_branch: int
@@ -92,7 +98,7 @@ def mode_amplitudes(ss: SteadyState, t: float = 0.0) -> tuple[complex, complex, 
     """Complex (A_i, A_s, A_P) of the mean field at time t."""
     b = ss.z2_branch
     ph = b * (0.5 * ss.phi + ss.delta * t)
-    a_i = 1j * ss.amp_idler * cmath.exp(1j * ph)
+    a_i = 1j * ss.amp_signal * cmath.exp(1j * ph)
     a_s = 1j * ss.amp_signal * cmath.exp(-1j * ph)
     return a_i, a_s, ss.pump_amp
 
@@ -102,30 +108,20 @@ def steady_state_branch(
 ) -> SteadyState:
     """Stationary solution of the requested family at params.mu.
 
-    The family is evaluated wherever it exists, including where it is
-    unstable (needed for eigenvalue flow across crossings).  OutOfRegime if
-    the family has no real solution at this drive / memory.
+    The one-drive case of steady_row: the family is evaluated wherever it
+    exists, including where it is unstable (needed for eigenvalue flow
+    across crossings).  OutOfRegime if the family has no real solution at
+    this drive / memory.
     """
     if z2_branch not in (1, -1):
         raise OutOfRegime(f"z2_branch must be +1 or -1, got {z2_branch}")
     mu, kappa = params.mu, params.kappa
     mu_cr = critical_drive(kappa)
-    if phase is Phase.DISORDERED:
-        return SteadyState(Phase.DISORDERED, 0.0, 0.0, 1j * mu, 0.0, z2_branch, phi, mu_cr)
-    if phase is Phase.U1:
-        if mu < 1.0:
-            raise OutOfRegime(f"u1 branch needs mu >= 1, got mu = {mu}")
-        amp = math.sqrt(mu - 1.0)
-        return SteadyState(Phase.U1, amp, amp, 1j, 0.0, z2_branch, phi, mu_cr)
-    if phase is Phase.U1XZ2:
-        if kappa >= 0.5:
-            raise OutOfRegime(f"u1xz2 branch needs kappa < 1/2, got kappa = {kappa}")
-        if mu < 2.0 * kappa:
-            raise OutOfRegime(f"u1xz2 branch needs mu >= 2*kappa, got mu = {mu}")
-        amp = math.sqrt(mu - 2.0 * kappa)
-        delta = frequency_shift(kappa) * params.gamma0
-        return SteadyState(Phase.U1XZ2, amp, amp, 2j * kappa, delta, z2_branch, phi, mu_cr)
-    raise OutOfRegime(f"unknown phase {phase!r}")
+    index, row = steady_row(params, np.array([mu]), phase)
+    if index.size == 0:
+        raise OutOfRegime(f"no {phase.value} state at mu = {mu}, kappa = {kappa}")
+    amp, a_p, rot = float(row.amp_signal[0]), complex(row.a_p[0]), float(row.rot[0])
+    return SteadyState(phase, amp, a_p, rot, z2_branch, phi, mu_cr)
 
 
 def steady_state(params: SystemParams, z2_branch: int = 1, phi: float = 0.0) -> SteadyState:
@@ -159,16 +155,18 @@ class SteadyRow:
 
 
 def _family(params: SystemParams, phase: Phase, mu: np.ndarray):
-    """(pump P, magnitude, rotation) of a family's states at drives mu.
+    """(pump P, rotation) of a family at drives mu: pump amplitude i P, magnitude sqrt(mu - P).
 
-    The pump amplitude is i P; the broken families exist where mu >= P.
+    A family exists where mu >= P; u1xz2 exists only where it is the broken family.
     """
+    kappa = params.kappa
     if phase is Phase.DISORDERED:
-        return mu, np.zeros_like(mu), 0.0
+        return mu, 0.0
     if phase is Phase.U1:
-        return 1.0, np.sqrt(mu - 1.0), 0.0
-    pump = 2.0 * params.kappa
-    return pump, np.sqrt(mu - pump), frequency_shift(params.kappa) * params.gamma0
+        return 1.0, 0.0
+    if _broken(kappa) is not Phase.U1XZ2:
+        return math.inf, 0.0
+    return 2.0 * kappa, frequency_shift(kappa) * params.gamma0
 
 
 def steady_row(
@@ -176,30 +174,25 @@ def steady_row(
 ) -> tuple[np.ndarray, SteadyRow]:
     """Stationary states across the drive grid mu at the memory of params.
 
-    phase=None takes the stable state at every drive (steady_state); a Phase
-    takes that family wherever it exists (steady_state_branch).  Returns the
+    The one statement of which family exists, which is stable and what its
+    amplitudes are.  phase=None takes the stable state at every drive
+    (steady_state); a Phase takes that family wherever it exists, which may
+    be nowhere (steady_state_branch is the one-drive case).  Returns the
     grid indices of the states and the row; z2_branch = +1 and phi = 0.
     """
-    kappa = params.kappa
-    mu_cr = critical_drive(kappa)
     if phase is None:
-        broken = Phase.U1 if kappa >= 0.5 else Phase.U1XZ2
-        on = mu > mu_cr
-        pump, amp, rot = np.array(mu), np.zeros_like(mu), np.zeros_like(mu)
-        pump[on], amp[on], rot[on] = _family(params, broken, mu[on])
+        broken = _broken(params.kappa)
+        on = mu > critical_drive(params.kappa)
+        pump, rot = np.array(mu), np.zeros_like(mu)
+        pump[on], rot[on] = _family(params, broken, mu[on])
         index = np.arange(mu.size)
         phases = tuple(broken if b else Phase.DISORDERED for b in on.tolist())
     else:
-        if phase is Phase.DISORDERED:
-            exists = np.ones(mu.shape, dtype=bool)
-        elif phase is Phase.U1:
-            exists = mu >= 1.0
-        else:
-            exists = (mu >= 2.0 * kappa) & (kappa < 0.5)
-        index = np.flatnonzero(exists)
-        mu = mu[index]
-        pump, amp, rot = (np.broadcast_to(v, mu.shape) for v in _family(params, phase, mu))
+        pump, rot = (np.broadcast_to(v, mu.shape) for v in _family(params, phase, mu))
+        index = np.flatnonzero(mu >= pump)
+        mu, pump, rot = mu[index], pump[index], rot[index]
         phases = (phase,) * mu.size
+    amp = np.sqrt(mu - pump)
     a = 1j * amp
     return index, SteadyRow(mu, phases, amp, a, a, 1j * pump, rot)
 
@@ -295,8 +288,7 @@ def phase_diagram(
     """
     from . import linres  # deferred: linres depends on this module
 
-    if base is None:
-        base = SystemParams(gamma0=1.0, gammaP=100.0, tau_r=1.0, g=0.01, mu=0.0)
+    base = base or _BASE
     mu = np.asarray(mu_grid, dtype=float)
     kappas = np.asarray(kappa_grid, dtype=float)
 

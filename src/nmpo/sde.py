@@ -37,18 +37,17 @@ bit-identical output whether a row runs alone or in an ensemble.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     InsufficientSamples,
     NonStationary,
-    OutOfRegime,
     ParameterError,
     StepOverflow,
 )
-from .meanfield import Phase, classify_phase, critical_drive, frequency_shift
+from .meanfield import Phase, classify_phase, steady_state
 from .model import SystemParams
 from .spectra import VarianceReport, _make_report, _thermal_scale
 
@@ -519,20 +518,17 @@ def estimate_quadrature_variances(tr: Trajectory, frame: str = "static") -> Vari
         raise InsufficientSamples(
             f"need >= 2 trajectories and >= 32 samples, got {n_traj} x {n_samples}"
         )
-    phase = classify_phase(params.mu, params.kappa)
-    mu_cr = critical_drive(params.kappa)
-
+    ss = steady_state(params)
     A_i = tr.A_i
     A_s = tr.A_s
-    if phase is Phase.DISORDERED:
+    if ss.phase is Phase.DISORDERED:
         d_i, d_s = A_i, A_s
     else:
-        if phase is Phase.U1XZ2 and frame == "corotating":
-            delta = frequency_shift(params.kappa) * params.gamma0
+        if ss.phase is Phase.U1XZ2 and frame == "corotating":
             phi_d = np.unwrap(np.angle(A_i) - np.angle(A_s), axis=0)
             branch = np.sign(np.polyfit(tr.t, phi_d, 1)[0])
             branch[branch == 0] = 1.0
-            rot = np.exp(-1j * delta * np.outer(tr.t, branch))
+            rot = np.exp(-1j * ss.delta * np.outer(tr.t, branch))
             A_i = A_i * rot
             A_s = A_s * np.conj(rot)
         # Gauge angle per trajectory from the circular mean of the
@@ -540,9 +536,8 @@ def estimate_quadrature_variances(tr: Trajectory, frame: str = "static") -> Vari
         phi_hat = np.angle(np.exp(1j * (np.angle(A_i) - np.angle(A_s))).mean(axis=0))
         A_i = A_i * np.exp(-0.5j * phi_hat)[None, :]
         A_s = A_s * np.exp(+0.5j * phi_hat)[None, :]
-        amp = math.sqrt(params.mu - mu_cr)
-        d_i = A_i - 1j * amp
-        d_s = A_s - 1j * amp
+        d_i = A_i - 1j * ss.amp_signal
+        d_s = A_s - 1j * ss.amp_signal
 
     quads = {
         "x+": (d_i.real + d_s.real) / math.sqrt(2.0),
@@ -552,7 +547,7 @@ def estimate_quadrature_variances(tr: Trajectory, frame: str = "static") -> Vari
     }
     s2, nhalf = _thermal_scale(params)
     norm = s2 * nhalf
-    soft = {"x-"} if phase is not Phase.DISORDERED else set()
+    soft = {"x-"} if ss.phase is not Phase.DISORDERED else set()
 
     values, stderr = {}, {}
     half = n_samples // 2

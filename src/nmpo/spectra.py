@@ -57,7 +57,7 @@ from .errors import (
     SingularAtFrequency,
     located,
 )
-from .meanfield import Phase, SteadyState, critical_drive, steady_state
+from .meanfield import Phase, SteadyState, classify_phase, critical_drive, steady_state
 from .model import SystemParams
 
 QUAD_LABELS = ("x+", "x-", "xP", "y+", "y-", "yP")
@@ -451,10 +451,8 @@ def variances_above_threshold_u1(
     if n_th_P is None:
         n_th_P = n_th
     _check_regime_inputs(mu, kappa, n_th, n_th_P)
-    if kappa < 0.5:
-        raise OutOfRegime(f"u1 closed forms need kappa >= 1/2, got {kappa}")
-    if mu <= 1.0:
-        raise OutOfRegime(f"u1 closed forms need mu > 1, got {mu}")
+    if classify_phase(mu, kappa) is not Phase.U1:
+        raise OutOfRegime(f"u1 closed forms need the u1 phase, got mu = {mu}, kappa = {kappa}")
     r = (n_th_P + 0.5) / (n_th + 0.5)
     if math.isinf(kappa):
         x_plus = r * (mu - 1.0) / mu + 0.5 / mu
@@ -564,7 +562,6 @@ def _negativity_point(mu: float, kappa: float, n_th: float) -> tuple[float, floa
     integrated co-rotating variances saturate above threshold instead (see
     variances_u1xz2).
     """
-    _check_regime_inputs(mu, kappa, n_th)
     sigma_abs = (n_th + 0.5) * _sigma_sq_formula(mu, kappa)
     if sigma_abs < sys.float_info.min:
         # Underflow at huge drive: E_N from the logarithm of the same form,
@@ -576,24 +573,33 @@ def _negativity_point(mu: float, kappa: float, n_th: float) -> tuple[float, floa
     return log_negativity(sigma_abs).e_n, sigma_abs
 
 
+def _map_points(mu_grid, kappa_grid, n_th: float) -> list[tuple[int, int, float, float]]:
+    """(i, j, mu, kappa) of every map point, kappa-major; the first invalid one raises."""
+    points = [
+        (i, j, mu, kappa)
+        for j, kappa in enumerate(np.asarray(kappa_grid, dtype=float).tolist())
+        for i, mu in enumerate(np.asarray(mu_grid, dtype=float).tolist())
+    ]
+    for i, j, mu, kappa in points:
+        try:
+            _check_regime_inputs(mu, kappa, n_th)
+        except ParameterError as exc:
+            where = f"negativity map point (i={i}, j={j}) mu={mu}, kappa={kappa}"
+            raise located(exc, where) from exc
+    return points
+
+
 def negativity_map(mu_grid, kappa_grid, n_th: float = 0.0) -> list[tuple[float, float, float, float, float]]:
     """E_N over a (mu, kappa) product grid at fixed occupancy.
 
     Rows are (mu, kappa, n_th, e_n, sigma_sq_abs), kappa-major.  kappa = inf
-    rows give the Markovian comparator.  Per-point failures re-raise with
-    the grid location.
+    rows give the Markovian comparator.  The whole grid is checked first;
+    the first invalid point raises with its grid location.
     """
-    rows = []
-    for j, kappa in enumerate(np.asarray(kappa_grid, dtype=float)):
-        for i, mu in enumerate(np.asarray(mu_grid, dtype=float)):
-            try:
-                e_n, sig = _negativity_point(float(mu), float(kappa), n_th)
-            except Exception as exc:
-                raise located(
-                    exc, f"negativity map point (i={i}, j={j}) mu={mu}, kappa={kappa}"
-                ) from exc
-            rows.append((float(mu), float(kappa), float(n_th), e_n, sig))
-    return rows
+    return [
+        (mu, kappa, float(n_th), *_negativity_point(mu, kappa, n_th))
+        for _, _, mu, kappa in _map_points(mu_grid, kappa_grid, n_th)
+    ]
 
 
 def negativity_occupancy_sweep(
@@ -603,10 +609,10 @@ def negativity_occupancy_sweep(
 
     Rows are (mu, kappa, n_th, e_n, sigma_sq_abs), one block per occupancy;
     with markovian_comparator, each occupancy gains a kappa = inf block.
+    Every block is checked before any is solved.
     """
-    rows = []
-    for n_th in n_th_values:
-        rows += negativity_map(mu_grid, [kappa], float(n_th))
-        if markovian_comparator:
-            rows += negativity_map(mu_grid, [math.inf], float(n_th))
-    return rows
+    kappas = [kappa, math.inf] if markovian_comparator else [kappa]
+    blocks = [(mu_grid, [k], float(n_th)) for n_th in n_th_values for k in kappas]
+    for block in blocks:
+        _map_points(*block)
+    return [row for block in blocks for row in negativity_map(*block)]

@@ -3,8 +3,9 @@
 nmpo.meanfield.phase_diagram and nmpo.linres.eigenflow_sweep build the
 embedded generator A for a whole drive row as one (N, n, n) array and take
 its spectra in one stacked eigen-solve.  This module keeps the plain form:
-a SystemParams per point, the scalar steady state, the residual in Python
-complex arithmetic, A filled entry by entry and one eigen-solve per point,
+a SystemParams per point, the scalar steady state (each family written out
+as nmpo.meanfield had it before the families were stated once, in
+steady_row), the residual in Python complex arithmetic, A filled entry by entry and one eigen-solve per point,
 sorted and trimmed in Python.  Both must give bit-identical results;
 tests/test_linres_stacked.py checks that.
 """
@@ -15,7 +16,13 @@ import math
 
 import numpy as np
 
-from nmpo.errors import EigensolverFailure, InconsistentSteadyState, ParameterError, located
+from nmpo.errors import (
+    EigensolverFailure,
+    InconsistentSteadyState,
+    OutOfRegime,
+    ParameterError,
+    located,
+)
 from nmpo.linres import (
     LABELS_FULL,
     LABELS_MARKOV,
@@ -26,17 +33,44 @@ from nmpo.linres import (
     EmbeddedMatrix,
     exceptional_point_drive,
 )
-from nmpo.meanfield import (
-    Phase,
-    SteadyState,
-    critical_drive,
-    mode_amplitudes,
-    steady_state,
-    steady_state_branch,
-)
+from nmpo.meanfield import Phase, SteadyState, critical_drive, mode_amplitudes
 from nmpo.model import SystemParams, kernel_freq
 
 _GOLDSTONE_TOL = 1e-6
+
+
+def steady_state_branch(
+    params: SystemParams, phase: Phase, z2_branch: int = 1, phi: float = 0.0
+) -> SteadyState:
+    if z2_branch not in (1, -1):
+        raise OutOfRegime(f"z2_branch must be +1 or -1, got {z2_branch}")
+    mu, kappa = params.mu, params.kappa
+    mu_cr = critical_drive(kappa)
+    if phase is Phase.DISORDERED:
+        return SteadyState(Phase.DISORDERED, 0.0, 1j * mu, 0.0, z2_branch, phi, mu_cr)
+    if phase is Phase.U1:
+        if mu < 1.0:
+            raise OutOfRegime(f"u1 branch needs mu >= 1, got mu = {mu}")
+        amp = math.sqrt(mu - 1.0)
+        return SteadyState(Phase.U1, amp, 1j, 0.0, z2_branch, phi, mu_cr)
+    if phase is Phase.U1XZ2:
+        if kappa >= 0.5:
+            raise OutOfRegime(f"u1xz2 branch needs kappa < 1/2, got kappa = {kappa}")
+        if mu < 2.0 * kappa:
+            raise OutOfRegime(f"u1xz2 branch needs mu >= 2*kappa, got mu = {mu}")
+        amp = math.sqrt(mu - 2.0 * kappa)
+        delta = kappa * math.sqrt(1.0 / (2.0 * kappa) - 1.0) * params.gamma0
+        return SteadyState(Phase.U1XZ2, amp, 2j * kappa, delta, z2_branch, phi, mu_cr)
+    raise OutOfRegime(f"unknown phase {phase!r}")
+
+
+def steady_state(params: SystemParams, z2_branch: int = 1, phi: float = 0.0) -> SteadyState:
+    mu, kappa = params.mu, params.kappa
+    if mu <= critical_drive(kappa):
+        phase = Phase.DISORDERED
+    else:
+        phase = Phase.U1 if kappa >= 0.5 else Phase.U1XZ2
+    return steady_state_branch(params, phase, z2_branch, phi)
 
 
 def steady_state_residual(params: SystemParams, ss: SteadyState) -> float:

@@ -234,6 +234,12 @@ def test_negativity_stays_finite_where_the_variance_underflows(capsys, kappa):
         (("phase-diagram", "--mu", "-1"), "ParameterError"),
         (("phase-diagram", "--mu", "0:1:3", "--kappa", "1,nan"), "NonPositiveRate"),
         (("eigenflow", "--mu", "0:1:3", "--kappa", "1,-1"), "NonPositiveRate"),
+        (("variances", "--mu", "0.5,nan", "--kappa", "1", "--method", "integrate"),
+         "ParameterError"),
+        (("variances", "--mu", "0.5", "--kappa", "1,-1", "--method", "integrate"),
+         "NonPositiveRate"),
+        (("negativity", "--nth", "0,-1"), "ParameterError"),
+        (("negativity", "--nth", "0,nan", "--markovian-comparator"), "ParameterError"),
     ],
 )
 def test_invalid_grid_points_exit_2_with_their_error_class(capsys, argv, error):
@@ -263,6 +269,32 @@ def test_invalid_phase_diagram_points_are_named(capsys, argv, detail):
     rc, out, err = run(capsys, "phase-diagram", *argv)
     assert rc == 2
     assert out == ""
+    assert json.loads(err)["detail"] == detail
+
+
+@pytest.mark.parametrize(
+    "argv,detail",
+    [
+        (("variances", "--mu", "0.5,nan", "--kappa", "1", "--method", "integrate"),
+         "variances at mu=nan, kappa=1.0: mu: must be non-negative and finite, got nan"),
+        # an invalid point is reported before a numerical failure earlier in the grid
+        (("variances", "--mu", "0.5", "--kappa", "1e14,-1", "--method", "integrate"),
+         "variances at mu=0.5, kappa=-1.0: kappa must be > 0, got -1.0"),
+        (("negativity", "--nth", "0,-1"), "negativity map point (i=0, j=0) mu=0.05, "
+         "kappa=0.2: n_th must be >= 0 and finite, got -1.0"),
+        (("negativity", "--kappa", "0.2", "--nth", "0,1", "--mu", "0.5,-1",
+          "--markovian-comparator"), "negativity map point (i=1, j=0) mu=-1.0, kappa=0.2: "
+         "mu must be >= 0 and finite, got -1.0"),
+    ],
+)
+def test_invalid_points_are_named_before_any_is_solved(capsys, monkeypatch, argv, detail):
+    def solved(*args, **kwargs):
+        raise AssertionError("a point was solved before the grid was checked")
+
+    monkeypatch.setattr(cli, "_variance_report_at", solved)
+    monkeypatch.setattr("nmpo.spectra._negativity_point", solved)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
     assert json.loads(err)["detail"] == detail
 
 
@@ -301,6 +333,17 @@ def test_negative_integrated_variance_exits_3(capsys, kappa):
     assert diag["error"] == "NumericsError"
     assert diag["detail"].startswith(
         f"variances at mu=0.5, kappa={float(kappa)}: negative variance of x+: -"
+    )
+
+
+def test_numerical_failure_names_its_point_in_json(capsys):
+    rc, out, err = run(capsys, "variances", "--mu", "0.5", "--kappa", "1e14",
+                       "--method", "integrate")
+    assert (rc, out) == (3, "")
+    diag = json.loads(err)
+    assert diag["error"] == "NumericsError"
+    assert diag["detail"].startswith(
+        "variances at mu=0.5, kappa=100000000000000.0: negative variance of x+: -"
     )
 
 

@@ -1,0 +1,76 @@
+"""Property test of the stationary families stated once in steady_row.
+
+steady_state_branch and steady_state are the one-drive case of
+meanfield.steady_row; tests/linres_oracle.py keeps them as they were, each
+family written out on its own.  Both must give the same state field by
+field (by repr), and raise the same error class on the same inputs.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import linres_oracle as oracle
+from nmpo.errors import ParameterError
+from nmpo.meanfield import (
+    Phase,
+    classify_phase,
+    critical_drive,
+    steady_row,
+    steady_state,
+    steady_state_branch,
+)
+from nmpo.model import SystemParams
+
+MU = st.floats(min_value=0.0, max_value=10.0)
+KAPPA = st.floats(min_value=0.0, max_value=5.0, exclude_min=True) | st.sampled_from([0.5, math.inf])
+GAMMA0 = st.sampled_from([1.0, 1.3])
+BRANCHES = [(1, 0.0), (-1, 0.3), (1, -2.2), (-1, math.pi)]
+
+
+def outcome(call):
+    try:
+        return repr(call())
+    except ParameterError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(MU, KAPPA, GAMMA0)
+@example(0.4, 0.2, 1.0)  # mu = mu_cr = 2 kappa
+@example(0.6, 0.3, 1.0)  # mu = 2 kappa
+@example(1.0, 0.2, 1.0)  # mu = 1 with memory: u1 exists, unstable
+@example(1.0, 1.0, 1.0)  # mu = mu_cr = 1
+@example(1.0, 0.5, 1.0)  # kappa = 1/2 at mu_cr
+@example(2.0, 0.5, 1.3)  # kappa = 1/2 above threshold
+@example(1.0, math.inf, 1.0)
+@example(0.0, 0.2, 1.3)
+def test_branches_equal_the_frozen_families(mu, kappa, gamma0):
+    p = SystemParams.from_kappa(gamma0, 100.0 * gamma0, kappa, 0.01, mu)
+    for z2, phi in BRANCHES:
+        for phase in Phase:
+            got = outcome(lambda: steady_state_branch(p, phase, z2, phi))
+            assert got == outcome(lambda: oracle.steady_state_branch(p, phase, z2, phi)), phase
+        got = outcome(lambda: steady_state(p, z2, phi))
+        assert got == outcome(lambda: oracle.steady_state(p, z2, phi))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(MU, max_size=12), KAPPA)
+@example([0.0, 0.4, 0.5, 1.0, 2.0], 0.2)  # through mu_cr = 2 kappa, then mu = 1
+@example([0.0, 1.0, 1.5], 0.5)
+@example([0.0, 1.0, 1.5], math.inf)
+def test_stable_row_phases_are_the_classified_phases(mus, kappa):
+    p = SystemParams.from_kappa(1.0, 100.0, kappa, 0.01, 0.0)
+    try:
+        critical_drive(p.kappa)
+    except ParameterError as exc:
+        with pytest.raises(type(exc)):
+            steady_row(p, np.array(mus, dtype=float))
+        return
+    index, row = steady_row(p, np.array(mus, dtype=float))
+    assert index.tolist() == list(range(len(mus)))
+    assert row.phase == tuple(classify_phase(mu, p.kappa) for mu in mus)
