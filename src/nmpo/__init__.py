@@ -50,11 +50,7 @@ from .meanfield import (
     steady_state_branch,
     steady_state_residual,
 )
-from .model import (
-    MemoryKernel,
-    SystemParams,
-    kernel_freq,
-)
+from .model import SystemParams, kernel_freq
 from .sde import (
     OrderParameterEstimate,
     SimConfig,
@@ -91,7 +87,7 @@ __all__ = [
     "InconsistentSteadyState", "EigensolverFailure", "BracketFailure",
     "SingularAtFrequency", "StepOverflow", "NonStationary",
     # model
-    "MemoryKernel", "SystemParams", "kernel_freq",
+    "SystemParams", "kernel_freq",
     # meanfield
     "Phase", "SteadyState", "classify_phase", "critical_drive",
     "frequency_shift", "steady_state", "steady_state_branch",

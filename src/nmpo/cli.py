@@ -416,9 +416,9 @@ def _cmd_simulate(args) -> int:
     single = kappa_values.size == 1
 
     def config_for(p: SystemParams, seed: int) -> SimConfig:
-        tau = p.tau_r
-        dt = args.dt if args.dt is not None else min(2.0 / p.gammaP, 1.0 / p.gamma0, tau or math.inf) / 25.0
-        t_burn = args.t_burn if args.t_burn is not None else 20.0 * max(1.0 / p.gamma0, tau)
+        fastest, slowest = p.timescales
+        dt = args.dt if args.dt is not None else fastest / 25.0
+        t_burn = args.t_burn if args.t_burn is not None else 20.0 * slowest
         return SimConfig(
             dt=dt,
             t_burn=t_burn,

@@ -192,13 +192,12 @@ def build_diffusion(params: SystemParams, include_pump: bool) -> np.ndarray:
     correlate the + and - members of each pair.  The baths are isotropic, so
     D is frame independent.  Optional pump noise is white on xP and yP.
     """
-    g0 = params.gamma0
-    s2 = 2.0 * params.g**2 / (g0 * params.gammaP)
+    g0, s2 = params.gamma0, params.variance_scale
     if params.markovian:
         n, rows, scale = 6, (0, 1, 3, 4), s2 * g0
     else:
         n, rows, scale = 10, (6, 7, 8, 9), 4.0 * s2 * g0 / params.tau_r**2
-    na = 0.5 * (params.n_th_i + params.n_th_s) + 0.5
+    na = params.n_avg + 0.5
     nd = 0.5 * (params.n_th_i - params.n_th_s)
     d = np.zeros((n, n))
     for q in rows:
@@ -206,7 +205,7 @@ def build_diffusion(params: SystemParams, include_pump: bool) -> np.ndarray:
     xp, xm, yp, ym = rows
     d[xp, xm] = d[xm, xp] = d[yp, ym] = d[ym, yp] = scale * nd
     if include_pump:
-        d[2, 2] = d[5, 5] = 2.0 * params.g**2 / g0**2 * params.gammaP * (params.n_th_P + 0.5)
+        d[2, 2] = d[5, 5] = params.pump_noise_power
     return d
 
 

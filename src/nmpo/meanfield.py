@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveRate, OutOfRegime, located
-from .model import SystemParams, kernel_freq
+from .model import SystemParams, _no_memory_time, kernel_freq
 
 # |lambda| / gamma0 below which the gauge zero mode (at rounding error) is dropped.
 _GOLDSTONE_TOL = 1e-6
@@ -209,9 +209,8 @@ def row_residuals(params: SystemParams, row: SteadyRow) -> np.ndarray:
     a_i, a_s, a_p, rot = row.a_i, row.a_s, row.a_p, row.rot
     # Convolution of the kernel with a phase rotating as e^{+i rot t} gives
     # gamma~(-rot); the counter-rotating signal mode picks up gamma~(+rot).
-    kern = params.kernel
-    g_i = kernel_freq(kern, -rot)
-    g_s = kernel_freq(kern, +rot)
+    g_i = kernel_freq(params, -rot)
+    g_s = kernel_freq(params, +rot)
     res_i = 0.5 * (-g_i * a_i + 1j * g0 * np.conj(a_s) * a_p) - 1j * rot * a_i
     res_s = 0.5 * (-g_s * a_s + 1j * g0 * np.conj(a_i) * a_p) + 1j * rot * a_s
     res_p = 0.5 * (-gp * a_p + 1j * gp * (a_i * a_s + mu))
@@ -235,13 +234,14 @@ def steady_state_residual(params: SystemParams, ss: SteadyState) -> float:
 def check_grid(base: SystemParams, mu_grid, kappa_grid, where=None) -> None:
     """Raise the error of the first invalid (mu, kappa) point, kappa-major.
 
-    A point is valid when mu is finite and >= 0 and kappa is > 0 or inf.
-    The first invalid one re-raises through base.replace, so it keeps the
-    scalar route's class and message; where(i, j), if given, prefixes its
-    grid location.
+    A point is valid when mu is finite and >= 0 and kappa is > 0 or inf
+    with a finite tau_r = 1/(gamma0 kappa).  The first invalid one re-raises
+    through base.replace, so it keeps the scalar route's class and message;
+    where(i, j), if given, prefixes its grid location.
     """
     mu, kappa = np.asarray(mu_grid, dtype=float), np.asarray(kappa_grid, dtype=float)
-    bad = np.argwhere(~(kappa > 0)[:, None] | ~((mu >= 0.0) & (mu < math.inf))[None, :])
+    bad_kappa = np.array([_no_memory_time(base.gamma0, k) for k in kappa.tolist()], dtype=bool)
+    bad = np.argwhere(bad_kappa[:, None] | ~((mu >= 0.0) & (mu < math.inf))[None, :])
     if bad.size == 0:
         return
     j, i = bad[0]

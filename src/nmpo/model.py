@@ -1,4 +1,4 @@
-"""System parameters and the exponential memory kernel.
+"""System parameters, the exponential memory kernel and the derived scales.
 
 Conventions used throughout the package:
 
@@ -20,6 +20,7 @@ enters fluctuation-dissipation relations.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -40,27 +41,7 @@ MIN_PUMP_RATIO = 10.0
 ADIABATIC_PUMP_RATIO = 100.0
 
 
-@dataclass(frozen=True)
-class MemoryKernel:
-    """Exponential damping kernel with total weight gamma0."""
-
-    gamma0: float
-    tau_r: float  # 0 means exact Markovian (delta kernel)
-
-    def __post_init__(self):
-        if not (self.gamma0 > 0):
-            raise NonPositiveRate(
-                f"gamma0 must be > 0, got {self.gamma0}",
-                [("gamma0", "must be strictly positive")],
-            )
-        if self.tau_r < 0:
-            raise NonPositiveRate(
-                f"tau_r must be >= 0, got {self.tau_r}",
-                [("tau_r", "must be non-negative")],
-            )
-
-
-def kernel_freq(kernel: MemoryKernel, omega):
+def kernel_freq(params: SystemParams, omega):
     """Fourier transform gamma~(omega) = gamma0 / (1 - i*omega*tau_r).
 
     Markovian limit (tau_r = 0) is flat: gamma0 for every omega.  Satisfies
@@ -68,7 +49,7 @@ def kernel_freq(kernel: MemoryKernel, omega):
     time-domain kernel.
     """
     om = np.asarray(omega, dtype=float)
-    out = kernel.gamma0 / (1.0 - 1j * om * kernel.tau_r)
+    out = params.gamma0 / (1.0 - 1j * om * params.tau_r)
     if np.ndim(omega) == 0:
         return complex(out)
     return out
@@ -78,10 +59,11 @@ def kernel_freq(kernel: MemoryKernel, omega):
 class SystemParams:
     """Validated parameter set for the driven two-mode system.
 
-    kappa and F_cr are derived on construction.  Use from_kappa() to specify
-    the memory through kappa instead of tau_r.  Validation raises the most
-    specific ParameterError subclass for the first violation found, with the
-    full violation list attached.
+    kappa and F_cr are derived on construction; the noise scales and
+    timescales derived from the set are read-only properties.  Use
+    from_kappa() to specify the memory through kappa instead of tau_r.
+    Validation raises the most specific ParameterError subclass for the
+    first violation found, with the full violation list attached.
     """
 
     gamma0: float
@@ -128,32 +110,40 @@ class SystemParams:
         return cls(gamma0, gammaP, _tau_r_of(gamma0, kappa), g, mu, n_th_i, n_th_s, n_th_P)
 
     @property
-    def kernel(self) -> MemoryKernel:
-        return MemoryKernel(self.gamma0, self.tau_r)
-
-    @property
     def markovian(self) -> bool:
         return self.tau_r == 0.0
 
+    @property
+    def variance_scale(self) -> float:
+        """s^2 = 2 g^2 / (gamma0 gammaP): quadrature variance per (n_avg + 1/2)."""
+        return 2.0 * self.g**2 / (self.gamma0 * self.gammaP)
+
+    @property
+    def n_avg(self) -> float:
+        """Mean occupancy of the signal and idler baths."""
+        return 0.5 * (self.n_th_i + self.n_th_s)
+
+    @property
+    def pump_noise_power(self) -> float:
+        """White-noise power per pump quadrature, 2 g^2 / gamma0^2 gammaP (n_th_P + 1/2)."""
+        return 2.0 * self.g**2 / self.gamma0**2 * self.gammaP * (self.n_th_P + 0.5)
+
+    @property
+    def timescales(self) -> tuple[float, float]:
+        """(fastest, slowest) of the pump time 2/gammaP, 1/gamma0 and a nonzero tau_r."""
+        scales = [2.0 / self.gammaP, 1.0 / self.gamma0]
+        if self.tau_r > 0:
+            scales.append(self.tau_r)
+        return min(scales), max(scales)
+
     def replace(self, **changes) -> "SystemParams":
-        """Copy with fields replaced (derived fields recomputed)."""
-        values = dict(
-            gamma0=self.gamma0,
-            gammaP=self.gammaP,
-            tau_r=self.tau_r,
-            g=self.g,
-            mu=self.mu,
-            n_th_i=self.n_th_i,
-            n_th_s=self.n_th_s,
-            n_th_P=self.n_th_P,
-        )
+        """Copy with fields replaced (derived fields recomputed); kappa sets tau_r."""
         kappa = changes.pop("kappa", None)
-        values.update(changes)
         if kappa is not None:
-            values["tau_r"] = _tau_r_of(values["gamma0"], kappa)
+            changes["tau_r"] = _tau_r_of(changes.get("gamma0", self.gamma0), kappa)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SlowPumpWarning)
-            return SystemParams(**values)
+            return dataclasses.replace(self, **changes)
 
 
 def _check_gamma0(gamma0: float) -> None:
@@ -176,7 +166,24 @@ def _tau_r_of(gamma0: float, kappa: float) -> float:
         raise NonPositiveRate(
             f"kappa must be > 0, got {kappa}", [("kappa", "must be strictly positive")]
         )
+    _check_memory_time(gamma0, kappa)
     return 0.0 if math.isinf(kappa) else 1.0 / (gamma0 * kappa)
+
+
+def _no_memory_time(gamma0: float, kappa: float) -> bool:
+    """True unless tau_r = 1/(gamma0 kappa) is a finite float >= 0: kappa <= 0
+    or NaN, or a kappa so small that tau_r overflows."""
+    rate = gamma0 * kappa
+    return not (rate > 0) or math.isinf(1.0 / rate)
+
+
+def _check_memory_time(gamma0: float, kappa: float, error=NonPositiveRate) -> None:
+    """Raise error for a kappa > 0 so small that tau_r = 1/(gamma0 kappa) overflows."""
+    if _no_memory_time(gamma0, kappa):
+        raise error(
+            f"kappa = {kappa} is too small: tau_r = 1/(gamma0*kappa) overflows",
+            [("kappa", "tau_r = 1/(gamma0 kappa) must be finite")],
+        )
 
 
 def _collect_violations(p) -> list[tuple[str, str, str]]:

@@ -49,7 +49,7 @@ from .errors import (
 )
 from .meanfield import Phase, classify_phase, steady_state
 from .model import SystemParams
-from .spectra import VarianceReport, _make_report, _thermal_scale
+from .spectra import VarianceReport, _make_report
 
 SCHEMES = ("euler-maruyama", "stochastic-heun")
 RECORDABLE = ("A_i", "A_s", "A_P", "c_i", "c_s", "f_i", "f_s")
@@ -103,15 +103,12 @@ class SimConfig:
 
     def check_against(self, params: SystemParams) -> None:
         """Step-size and burn-in floors relative to the system timescales."""
-        g0, gp, tau = params.gamma0, params.gammaP, params.tau_r
-        scales = [2.0 / gp, 1.0 / g0]
-        if tau > 0:
-            scales.append(tau)
-        dt_max = min(scales) / _DT_FACTOR
+        fastest, slowest = params.timescales
+        dt_max = fastest / _DT_FACTOR
         bad = []
         if self.dt > dt_max * (1 + 1e-12):
             bad.append(("dt", f"must be <= {dt_max:.3e} for these rates, got {self.dt}"))
-        burn_min = _BURN_FACTOR * max(1.0 / g0, tau)
+        burn_min = _BURN_FACTOR * slowest
         if self.t_burn < burn_min * (1 - 1e-12):
             bad.append(("t_burn", f"must be >= {burn_min:.3e} for these rates, got {self.t_burn}"))
         if bad:
@@ -242,18 +239,16 @@ def _start_row(params: SystemParams, config: SimConfig, initial: dict | None) ->
 
     # Noise amplitudes: colored OU for the damped modes (exact update), white
     # for the Markovian limit and for the pump.
-    n_avg_i, n_avg_s = params.n_th_i, params.n_th_s
-    s2 = 2.0 * params.g**2 / (g0 * gp)
-    sp2 = 2.0 * params.g**2 / g0**2
-    w_p = math.sqrt(sp2 * gp * (params.n_th_P + 0.5) * dt) if (noise and pump_noise) else 0.0
+    n_i, n_s = params.n_th_i, params.n_th_s
+    s2 = params.variance_scale
+    w_p = math.sqrt(params.pump_noise_power * dt) if (noise and pump_noise) else 0.0
     if markov:
-        w_i = math.sqrt(s2 * g0 * (n_avg_i + 0.5) * dt) if noise else 0.0
-        w_s = math.sqrt(s2 * g0 * (n_avg_s + 0.5) * dt) if noise else 0.0
+        w_i = math.sqrt(s2 * g0 * (n_i + 0.5) * dt) if noise else 0.0
+        w_s = math.sqrt(s2 * g0 * (n_s + 0.5) * dt) if noise else 0.0
         return _Row(rng, x, f, (w_i, w_s, w_p), 0.0, pump_noise)
-    c0_i = (8.0 * params.g**2 / (g0**2 * gp * tau)) * (n_avg_i + 0.5) if noise else 0.0
-    c0_s = (8.0 * params.g**2 / (g0**2 * gp * tau)) * (n_avg_s + 0.5) if noise else 0.0
-    ou_decay, eta_i = _ou_coefficients(c0_i, dt, tau)
-    _, eta_s = _ou_coefficients(c0_s, dt, tau)
+    c0 = 8.0 * params.g**2 / (g0**2 * gp * tau) if noise else 0.0
+    ou_decay, eta_i = _ou_coefficients(c0 * (n_i + 0.5), dt, tau)
+    _, eta_s = _ou_coefficients(c0 * (n_s + 0.5), dt, tau)
     return _Row(rng, x, f, (eta_i, eta_s, w_p), ou_decay, pump_noise)
 
 
@@ -545,8 +540,7 @@ def estimate_quadrature_variances(tr: Trajectory, frame: str = "static") -> Vari
         "y+": (d_i.imag + d_s.imag) / math.sqrt(2.0),
         "y-": (d_i.imag - d_s.imag) / math.sqrt(2.0),
     }
-    s2, nhalf = _thermal_scale(params)
-    norm = s2 * nhalf
+    norm = params.variance_scale * (params.n_avg + 0.5)
     soft = {"x-"} if ss.phase is not Phase.DISORDERED else set()
 
     values, stderr = {}, {}
@@ -571,4 +565,4 @@ def estimate_quadrature_variances(tr: Trajectory, frame: str = "static") -> Vari
             )
         values[lab] = val
         stderr[lab] = se
-    return _make_report(values, 0.5 * (params.n_th_i + params.n_th_s), stderr=stderr)
+    return _make_report(values, params.n_avg, stderr=stderr)

@@ -58,7 +58,7 @@ from .errors import (
     located,
 )
 from .meanfield import Phase, SteadyState, classify_phase, critical_drive, steady_state
-from .model import SystemParams
+from .model import SystemParams, _check_memory_time
 
 QUAD_LABELS = ("x+", "x-", "xP", "y+", "y-", "yP")
 VAR_LABELS = ("x+", "x-", "y+", "y-")
@@ -76,13 +76,6 @@ _MARGINAL_RE = 1e-6
 _TOUCH_FRAC = 1e-6
 # Scale above which the u1 closed forms divide out max(mu, kappa) to stay in range.
 _HUGE = 1e100
-
-
-def _thermal_scale(params: SystemParams) -> tuple[float, float]:
-    """(s^2, n_avg + 1/2): amplitude-units variance scale and occupancy."""
-    s2 = 2.0 * params.g**2 / (params.gamma0 * params.gammaP)
-    navg = 0.5 * (params.n_th_i + params.n_th_s)
-    return s2, navg + 0.5
 
 
 def _h(m: np.ndarray) -> np.ndarray:
@@ -378,12 +371,12 @@ def integrate_variances(sd: SpectralData) -> VarianceReport:
     cov[div, :] = cov[:, div] = np.nan
     cov[div, div] = math.inf
 
-    s2, nhalf = _thermal_scale(params)
-    values = {lab: cov[q, q] / (s2 * nhalf) for lab, q in _VAR_INDEX.items()}
+    norm = params.variance_scale * (params.n_avg + 0.5)
+    values = {lab: cov[q, q] / norm for lab, q in _VAR_INDEX.items()}
     for lab, v in values.items():
         if v < 0:
             raise NumericsError(f"negative variance of {lab}: {v:.3e}")
-    return _make_report(values, nhalf - 0.5, covariance=cov)
+    return _make_report(values, params.n_avg, covariance=cov)
 
 
 # === closed forms =============================================================
@@ -392,6 +385,7 @@ def integrate_variances(sd: SpectralData) -> VarianceReport:
 def _check_regime_inputs(mu, kappa, n_th, n_th_P=0.0):
     if not (kappa > 0):
         raise ParameterError(f"kappa must be > 0, got {kappa}", [("kappa", "must be positive")])
+    _check_memory_time(1.0, kappa, ParameterError)
     if not (0.0 <= mu < math.inf):
         raise ParameterError(
             f"mu must be >= 0 and finite, got {mu}", [("mu", "must be non-negative and finite")]
@@ -494,8 +488,7 @@ def variances_u1xz2(
         raise OutOfRegime(f"state is {ss.phase.value}, not the rotating broken phase")
     sd = psd(params, ss, n_grid=64)
     report = integrate_variances(sd)
-    s2, nhalf = _thermal_scale(params)
-    norm = s2 * nhalf
+    norm = params.variance_scale * (params.n_avg + 0.5)
     cov = report.covariance
     sxp = report.sigma_x_plus
     sym = report.sigma_y_minus

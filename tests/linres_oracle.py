@@ -78,9 +78,8 @@ def steady_state_residual(params: SystemParams, ss: SteadyState) -> float:
     a_i, a_s, a_p = mode_amplitudes(ss, 0.0)
     b = ss.z2_branch
     rot = b * ss.delta
-    kern = params.kernel
-    g_i = kernel_freq(kern, -rot)
-    g_s = kernel_freq(kern, +rot)
+    g_i = kernel_freq(params, -rot)
+    g_s = kernel_freq(params, +rot)
     res_i = 0.5 * (-g_i * a_i + 1j * g0 * np.conj(a_s) * a_p) - 1j * rot * a_i
     res_s = 0.5 * (-g_s * a_s + 1j * g0 * np.conj(a_i) * a_p) + 1j * rot * a_s
     res_p = 0.5 * (-gp * a_p + 1j * gp * (a_i * a_s + mu))

@@ -26,9 +26,9 @@ from scipy.integrate import quad_vec
 from nmpo.model import kernel_freq
 
 
-def _kernel_freq_real(kern, omega: float) -> float:
+def _kernel_freq_real(params, omega: float) -> float:
     """Damping quadrature Re gamma~ = gamma0 / (1 + (omega*tau_r)^2)."""
-    return kern.gamma0 / (1.0 + (omega * kern.tau_r) ** 2)
+    return params.gamma0 / (1.0 + (omega * params.tau_r) ** 2)
 
 
 def drift_freq(params, ss, omega: float) -> np.ndarray:
@@ -37,9 +37,8 @@ def drift_freq(params, ss, omega: float) -> np.ndarray:
     P = ss.pump_amp.imag
     S = ss.amp_signal
     dlt = ss.z2_branch * ss.delta
-    kern = params.kernel
-    g_plus = kernel_freq(kern, omega + dlt)
-    g_minus = kernel_freq(kern, omega - dlt)
+    g_plus = kernel_freq(params, omega + dlt)
+    g_minus = kernel_freq(params, omega - dlt)
     g_c = 0.5 * (g_plus + g_minus)
     g_s = (g_plus - g_minus) / 2j
     gc = g0 * S / math.sqrt(2.0)
@@ -64,12 +63,11 @@ def drift_freq(params, ss, omega: float) -> np.ndarray:
 
 def force_psd(params, ss, omega: float, include_pump: bool) -> np.ndarray:
     """Langevin force PSD D(omega), 6x6 Hermitian."""
-    kern = params.kernel
     dlt = ss.z2_branch * ss.delta
     s2 = 2.0 * params.g**2 / (params.gamma0 * params.gammaP)
     sp2 = 2.0 * params.g**2 / params.gamma0**2
-    gp_plus = _kernel_freq_real(kern, omega + dlt)
-    gp_minus = _kernel_freq_real(kern, omega - dlt)
+    gp_plus = _kernel_freq_real(params, omega + dlt)
+    gp_minus = _kernel_freq_real(params, omega - dlt)
     dd = 0.5 * (gp_plus + gp_minus)
     ww = 0.5 * (gp_plus - gp_minus)
     na = 0.5 * (params.n_th_i + params.n_th_s) + 0.5

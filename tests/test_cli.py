@@ -113,6 +113,16 @@ def test_variances_closed_unavailable_in_rotating_phase(capsys):
     assert diag["violations"][0][0] == "method"
 
 
+def test_variances_report_the_occupancy_given(capsys):
+    docs = {}
+    for method in ("closed", "integrate"):
+        rc, out, err = run(capsys, "variances", "--mu", "0.5", "--kappa", "1", "--nth", "0.3",
+                           "--method", method, "--format", "json")
+        assert rc == 0, err
+        docs[method] = json.loads(out)
+    assert docs["integrate"]["n_th"] == docs["closed"]["n_th"] == 0.3
+
+
 @pytest.mark.parametrize("kappa", ["0.2", "0.5", "1", "inf"])
 def test_variances_at_threshold_closed_agrees_with_integrate(capsys, kappa):
     from nmpo.meanfield import critical_drive
@@ -263,6 +273,8 @@ def test_invalid_grid_points_exit_2_with_their_error_class(capsys, argv, error):
         # an invalid point is reported before a numerical failure earlier in the grid
         (("--mu", "1e10,0.5,nan", "--kappa", "1"), "phase diagram point (i=2, j=0) mu=nan, "
          "kappa=1.0: mu: must be non-negative and finite, got nan"),
+        (("--mu", "0:1:3", "--kappa", "1,5e-324"), "phase diagram point (i=0, j=1) mu=0.0, "
+         "kappa=5e-324: kappa = 5e-324 is too small: tau_r = 1/(gamma0*kappa) overflows"),
     ],
 )
 def test_invalid_phase_diagram_points_are_named(capsys, argv, detail):
@@ -285,6 +297,9 @@ def test_invalid_phase_diagram_points_are_named(capsys, argv, detail):
         (("negativity", "--kappa", "0.2", "--nth", "0,1", "--mu", "0.5,-1",
           "--markovian-comparator"), "negativity map point (i=1, j=0) mu=-1.0, kappa=0.2: "
          "mu must be >= 0 and finite, got -1.0"),
+        (("variances", "--mu", "0.5", "--kappa", "1e14,5e-324", "--method", "integrate"),
+         "variances at mu=0.5, kappa=5e-324: "
+         "kappa = 5e-324 is too small: tau_r = 1/(gamma0*kappa) overflows"),
     ],
 )
 def test_invalid_points_are_named_before_any_is_solved(capsys, monkeypatch, argv, detail):
@@ -296,6 +311,23 @@ def test_invalid_points_are_named_before_any_is_solved(capsys, monkeypatch, argv
     rc, out, err = run(capsys, *argv)
     assert (rc, out) == (2, "")
     assert json.loads(err)["detail"] == detail
+
+
+@pytest.mark.parametrize(
+    "command", ["phase-diagram", "eigenflow", "variances", "steady-state", "simulate", "negativity"]
+)
+def test_kappa_whose_memory_time_overflows_exits_2(capsys, monkeypatch, command):
+    # tau_r = 1/(gamma0 kappa) is not finite at kappa = 5e-324
+    def solved(*args, **kwargs):
+        raise AssertionError("a point was solved before the grid was checked")
+
+    monkeypatch.setattr(cli, "_variance_report_at", solved)
+    monkeypatch.setattr("nmpo.spectra._negativity_point", solved)
+    rc, out, err = run(capsys, command, "--mu", "0.5", "--kappa", "5e-324")
+    assert (rc, out) == (2, "")
+    diag = json.loads(err)
+    assert diag["error"] == ("ParameterError" if command == "negativity" else "NonPositiveRate")
+    assert "kappa = 5e-324 is too small" in diag["detail"]
 
 
 def test_failing_grid_points_are_named(capsys):

@@ -1,5 +1,6 @@
 """Parameter space, validation, and memory-kernel conventions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,29 +14,33 @@ from nmpo.errors import (
     PumpNotFast,
     SlowPumpWarning,
 )
-from nmpo.model import MemoryKernel, SystemParams, kernel_freq
+from nmpo.model import SystemParams, kernel_freq
 
 # === memory kernel ============================================================
 
 
+def _kernel(gamma0: float, tau_r: float) -> SystemParams:
+    return SystemParams(gamma0=gamma0, gammaP=100.0 * gamma0, tau_r=tau_r, g=0.01, mu=0.0)
+
+
 def test_kernel_freq_values():
-    k = MemoryKernel(gamma0=1.0, tau_r=1.0)
+    k = _kernel(gamma0=1.0, tau_r=1.0)
     assert kernel_freq(k, 0.0) == 1.0 + 0.0j
     assert kernel_freq(k, 1.0) == pytest.approx(0.5 + 0.5j)
-    km = MemoryKernel(gamma0=1.0, tau_r=0.0)
+    km = _kernel(gamma0=1.0, tau_r=0.0)
     assert kernel_freq(km, 7.0) == 1.0 + 0.0j
     assert kernel_freq(km, -123.0) == 1.0 + 0.0j
 
 
 def test_kernel_freq_conjugate_symmetry_exact():
-    k = MemoryKernel(gamma0=1.7, tau_r=0.9)
+    k = _kernel(gamma0=1.7, tau_r=0.9)
     rng = np.random.default_rng(0)
     for w in rng.uniform(-30, 30, 50):
         assert kernel_freq(k, -w) == np.conj(kernel_freq(k, w))
 
 
 def test_kernel_freq_real_part():
-    k = MemoryKernel(gamma0=1.0, tau_r=2.0)
+    k = _kernel(gamma0=1.0, tau_r=2.0)
     for w in (0.0, 0.3, -1.7, 10.0):
         expect = 1.0 / (1.0 + (w * 2.0) ** 2)
         assert kernel_freq(k, w).real == pytest.approx(expect, rel=1e-14)
@@ -45,11 +50,11 @@ def test_kernel_time_integral_matches_zero_frequency_weight():
     # quadrature of gamma(t) = (gamma0 / tau) e^{-t/tau} over [0, 50 tau]
     # reproduces gamma~(0), which is the total weight gamma0 exactly
     for g0, tau in ((1.0, 1.0), (2.5, 0.3), (0.4, 4.0)):
-        k = MemoryKernel(gamma0=g0, tau_r=tau)
+        k = _kernel(gamma0=g0, tau_r=tau)
         total, _ = quad(lambda t: g0 / tau * math.exp(-t / tau), 0.0, 50.0 * tau, limit=200)
         assert total == pytest.approx(kernel_freq(k, 0.0).real, rel=1e-8)
         assert kernel_freq(k, 0.0) == g0
-    assert kernel_freq(MemoryKernel(gamma0=0.4, tau_r=0.0), 0.0) == 0.4
+    assert kernel_freq(_kernel(gamma0=0.4, tau_r=0.0), 0.0) == 0.4
 
 
 # === parameter validation =====================================================
@@ -60,7 +65,6 @@ def test_valid_params_derived_fields():
     assert p.kappa == pytest.approx(0.5)
     assert p.F_cr == pytest.approx(100.0 * 1.0 / 4.0)
     assert not p.markovian
-    assert p.kernel == MemoryKernel(gamma0=1.0, tau_r=2.0)
     # round trip: kappa * tau_r * gamma0 = 1
     assert p.kappa * p.tau_r * p.gamma0 == pytest.approx(1.0, rel=1e-12)
 
@@ -135,3 +139,47 @@ def test_non_finite_drive_rejected(mu):
     with pytest.raises(ParameterError) as err:
         SystemParams(gamma0=1.0, gammaP=100.0, tau_r=1.0, g=0.01, mu=mu)
     assert [f for f, _ in err.value.violations] == ["mu"]
+
+
+# === derived scales ===========================================================
+
+
+def test_derived_scales():
+    p = SystemParams(
+        gamma0=2.0, gammaP=400.0, tau_r=3.0, g=0.5, mu=0.1, n_th_i=0.2, n_th_s=0.6, n_th_P=0.3
+    )
+    assert p.variance_scale == pytest.approx(2.0 * 0.25 / (2.0 * 400.0), rel=1e-15)
+    assert p.n_avg == pytest.approx(0.4, rel=1e-15)
+    assert p.pump_noise_power == pytest.approx(2.0 * 0.25 / 4.0 * 400.0 * 0.8, rel=1e-15)
+    assert p.timescales == (2.0 / 400.0, 3.0)
+    assert SystemParams(gamma0=2.0, gammaP=400.0, tau_r=0.0, g=0.5, mu=0.1).timescales == (
+        2.0 / 400.0,
+        0.5,
+    )
+    assert SystemParams(gamma0=1.0, gammaP=100.0, tau_r=1e-3, g=0.5, mu=0.1).timescales == (
+        1e-3,
+        1.0,
+    )
+
+
+def test_derived_scales_are_not_fields():
+    p = SystemParams(gamma0=1.0, gammaP=100.0, tau_r=1.0, g=0.01, mu=0.3)
+    names = [f.name for f in dataclasses.fields(p)]
+    assert names == [
+        "gamma0", "gammaP", "tau_r", "g", "mu", "n_th_i", "n_th_s", "n_th_P", "kappa", "F_cr",
+    ]
+    assert "variance_scale" not in repr(p)
+    assert p.replace() == p
+
+
+@pytest.mark.parametrize("kappa", [5e-324, 1e-310])
+def test_kappa_whose_memory_time_overflows_is_rejected(kappa):
+    with pytest.raises(NonPositiveRate) as err:
+        SystemParams.from_kappa(gamma0=1.0, gammaP=100.0, kappa=kappa, g=0.01, mu=0.5)
+    assert str(kappa) in str(err.value)
+    assert [f for f, _ in err.value.violations] == ["kappa"]
+    p = SystemParams(gamma0=1.0, gammaP=100.0, tau_r=1.0, g=0.01, mu=0.3)
+    with pytest.raises(NonPositiveRate):
+        p.replace(kappa=kappa)
+    # a kappa just above the overflow keeps a finite memory time
+    assert SystemParams.from_kappa(1.0, 100.0, 1e-308, 0.01, 0.5).tau_r == 1e308

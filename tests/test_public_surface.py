@@ -13,6 +13,7 @@ RETIRED = (
     "load_params",
     "validate",
     "ou_noise_step",
+    "MemoryKernel",
 )
 
 

@@ -15,6 +15,7 @@ from nmpo.errors import (
     SlowPumpWarning,
     StepOverflow,
 )
+from nmpo.linres import build_diffusion
 from nmpo.meanfield import steady_state
 from nmpo.model import SystemParams
 from nmpo.sde import (
@@ -25,6 +26,7 @@ from nmpo.sde import (
     estimate_quadrature_variances,
     integrate_ensemble,
     _ou_coefficients,
+    _start_row,
     integrate_trajectory,
     lockstep_key,
 )
@@ -128,6 +130,37 @@ def test_noise_free_forces_decay_exactly():
     rtol = n[-1] * np.finfo(float).eps
     assert np.allclose(tr.f_i, f0 * decay, rtol=rtol, atol=0)
     assert np.allclose(tr.f_s, 3.0 * decay, rtol=rtol, atol=0)
+
+
+@pytest.mark.parametrize("kappa", [math.inf, 0.3])
+@pytest.mark.parametrize("nth_i,nth_s", [(0.3, 0.3), (0.7, 0.1)])
+@pytest.mark.parametrize("pump_noise", [True, False])
+def test_one_step_noise_covariance_is_the_diffusion(kappa, nth_i, nth_s, pump_noise):
+    # The per-step noise of the integrator is the white-noise diffusion D of
+    # the linear response, times dt: on the quadratures x+- = (A_i +- A_s)/sqrt 2
+    # when Markovian, through the OU forces on the memory variables otherwise.
+    p = SystemParams.from_kappa(
+        gamma0=1.3, gammaP=130.0, kappa=kappa, g=0.02, mu=0.5,
+        n_th_i=nth_i, n_th_s=nth_s, n_th_P=0.4,
+    )
+    fastest, slowest = p.timescales
+    cfg = config(dt=fastest / 25.0, t_burn=20.0 * slowest, pump_noise=pump_noise)
+    row = _start_row(p, cfg, None)
+    w_i, w_s, w_p = row.amp
+    d = build_diffusion(p, include_pump=pump_noise)
+    assert w_p**2 == pytest.approx(d[2, 2] * cfg.dt, rel=1e-14, abs=0.0)
+    assert d[2, 2] == d[5, 5]
+    if p.markovian:
+        for q in (0, 3):
+            assert w_i**2 == pytest.approx((d[q, q] + d[q, q + 1]) * cfg.dt, rel=1e-14)
+            assert w_s**2 == pytest.approx((d[q, q] - d[q, q + 1]) * cfg.dt, rel=1e-14)
+        return
+    # c0 from the OU step scales: an OU force of stationary variance c0 and
+    # correlation time tau_r has white-noise power c0 / tau_r, scaled by gamma0^2.
+    c0_i, c0_s = (2.0 * w**2 / (1.0 - row.decay**2) for w in (w_i, w_s))
+    for q in (6, 8):
+        assert p.gamma0**2 * c0_i / p.tau_r == pytest.approx(d[q, q] + d[q, q + 1], rel=1e-14)
+        assert p.gamma0**2 * c0_s / p.tau_r == pytest.approx(d[q, q] - d[q, q + 1], rel=1e-14)
 
 
 # === integrator basics ========================================================

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import linres_oracle as oracle
-from nmpo.errors import ParameterError
+from nmpo.errors import NonPositiveRate, ParameterError
 from nmpo.meanfield import (
     Phase,
     classify_phase,
@@ -29,6 +29,16 @@ MU = st.floats(min_value=0.0, max_value=10.0)
 KAPPA = st.floats(min_value=0.0, max_value=5.0, exclude_min=True) | st.sampled_from([0.5, math.inf])
 GAMMA0 = st.sampled_from([1.0, 1.3])
 BRANCHES = [(1, 0.0), (-1, 0.3), (1, -2.2), (-1, math.pi)]
+
+
+def params_at(gamma0, kappa, mu):
+    """SystemParams at kappa, or None for a kappa whose tau_r = 1/(gamma0 kappa)
+    overflows, after checking that from_kappa rejects it."""
+    if math.isinf(1.0 / (gamma0 * kappa)):
+        with pytest.raises(NonPositiveRate, match="too small"):
+            SystemParams.from_kappa(gamma0, 100.0 * gamma0, kappa, 0.01, mu)
+        return None
+    return SystemParams.from_kappa(gamma0, 100.0 * gamma0, kappa, 0.01, mu)
 
 
 def outcome(call):
@@ -49,7 +59,9 @@ def outcome(call):
 @example(1.0, math.inf, 1.0)
 @example(0.0, 0.2, 1.3)
 def test_branches_equal_the_frozen_families(mu, kappa, gamma0):
-    p = SystemParams.from_kappa(gamma0, 100.0 * gamma0, kappa, 0.01, mu)
+    p = params_at(gamma0, kappa, mu)
+    if p is None:
+        return
     for z2, phi in BRANCHES:
         for phase in Phase:
             got = outcome(lambda: steady_state_branch(p, phase, z2, phi))
@@ -64,7 +76,9 @@ def test_branches_equal_the_frozen_families(mu, kappa, gamma0):
 @example([0.0, 1.0, 1.5], 0.5)
 @example([0.0, 1.0, 1.5], math.inf)
 def test_stable_row_phases_are_the_classified_phases(mus, kappa):
-    p = SystemParams.from_kappa(1.0, 100.0, kappa, 0.01, 0.0)
+    p = params_at(1.0, kappa, 0.0)
+    if p is None:
+        return
     try:
         critical_drive(p.kappa)
     except ParameterError as exc:
