@@ -326,7 +326,8 @@ def _cmd_variances(args) -> int:
     def where(i, j):
         return f"variances at mu={mu_grid[i]}, kappa={kappa_grid[j]}"
 
-    check_grid(_BASE, mu_grid, kappa_grid, where)
+    rates = _BASE.replace(gamma0=args.gamma0, gammaP=args.gammaP, g=args.g)
+    check_grid(rates, mu_grid, kappa_grid, where)
     reports = []
     for j, kappa in enumerate(kappa_grid):
         for i, mu in enumerate(mu_grid):

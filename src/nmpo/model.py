@@ -156,6 +156,9 @@ def _check_gamma0(gamma0: float) -> None:
 def kappa_of(gamma0: float, tau_r: float) -> float:
     """kappa = 1/(gamma0 tau_r); tau_r = 0 gives the Markovian kappa = inf."""
     _check_gamma0(gamma0)
+    msg = _tau_r_violation(tau_r)
+    if msg:
+        raise NonPositiveRate(f"tau_r: {msg}", [("tau_r", msg)])
     return math.inf if tau_r == 0.0 else 1.0 / (gamma0 * tau_r)
 
 
@@ -168,6 +171,11 @@ def _tau_r_of(gamma0: float, kappa: float) -> float:
         )
     _check_memory_time(gamma0, kappa)
     return 0.0 if math.isinf(kappa) else 1.0 / (gamma0 * kappa)
+
+
+def _tau_r_violation(tau_r: float) -> str | None:
+    """The rule a memory time breaks, or None when it is finite and >= 0."""
+    return None if 0.0 <= tau_r < math.inf else f"must be non-negative and finite, got {tau_r}"
 
 
 def _no_memory_time(gamma0: float, kappa: float) -> bool:
@@ -193,8 +201,9 @@ def _collect_violations(p) -> list[tuple[str, str, str]]:
         v = getattr(p, name)
         if not (v > 0) or math.isinf(v) or math.isnan(v):
             out.append(("rate", name, f"must be strictly positive and finite, got {v}"))
-    if p.tau_r < 0 or math.isnan(p.tau_r):
-        out.append(("rate", "tau_r", f"must be non-negative, got {p.tau_r}"))
+    msg = _tau_r_violation(p.tau_r)
+    if msg:
+        out.append(("rate", "tau_r", msg))
     if not (0.0 <= p.mu < math.inf):
         out.append(("drive", "mu", f"must be non-negative and finite, got {p.mu}"))
     for name in ("n_th_i", "n_th_s", "n_th_P"):

@@ -20,12 +20,18 @@ s^2 gamma0 (n_th + 1/2) dt with s^2 = 2 g^2/(gamma0 gammaP).  Pump noise is
 white with per-quadrature variance sP^2 gammaP (n_th_P + 1/2) dt,
 sP^2 = 2 g^2/gamma0^2, and is off below threshold by default.
 
-The step loop holds one stacked complex state x, rows (A_i, A_s, A_P,
-c_i, c_s) with memory and (A_i, A_s, A_P) in the Markovian limit, and the
-two colored forces in f; columns are trajectories ("lanes").  Markovian and
-memory rows, Heun and Euler-Maruyama, share that one loop.  Each row's noise
-is drawn BLOCK steps at a time from its own generator seeded by its config,
-in the same order as one draw per step, and recorded samples go into
+The step loop holds one stacked complex state x, rows (A_i, A_s, A_P, c_i,
+c_s) with memory and (A_i, A_s, A_P) in the Markovian limit, and the two
+colored forces in f; columns are trajectories ("lanes").  Markovian and
+memory rows, Heun and Euler-Maruyama, share that one loop.  A step
+allocates nothing: the state, the Heun predictor, both drift evaluations,
+the forces and the drift scratch are allocated once, and every elementwise
+operation writes into them through out=.  Each row's noise is drawn BLOCK
+steps at a time from its own generator seeded by its config, in the same
+order as one draw per step.  Once the lanes are wide enough that numpy
+releases the GIL inside the step loop, the next block is drawn on one
+helper thread while the loop steps through the current one (the normal fill
+releases the GIL too); there is no option for it.  Recorded samples go into
 preallocated buffers.  integrate_ensemble steps several rows together, such
 as the points of a kappa sweep: their lanes sit side by side and the
 per-row values (tau_r, OU decay, noise amplitudes) are lane vectors.
@@ -37,6 +43,7 @@ bit-identical output whether a row runs alone or in an ensemble.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +68,12 @@ _BURN_FACTOR = 20.0
 _OVERFLOW_CHECK = 256
 # Steps of noise drawn per generator call.
 BLOCK = 32
+# Lanes from which the next noise block is drawn ahead on a helper thread.
+# numpy releases the GIL only in loops over more than 500 elements, so with
+# fewer lanes the drift's (2, lanes) operations hold it: the helper runs
+# only while the loop waits for it, and the hand-over costs more than
+# drawing the block inline (measured break-even: 150-200 lanes).
+_AHEAD_LANES = 256
 # Rows of the stacked state x and of the forces f holding each recordable field.
 _X_ROWS = {"A_i": 0, "A_s": 1, "A_P": 2, "c_i": 3, "c_s": 4}
 _F_ROWS = {"f_i": 0, "f_s": 1}
@@ -323,28 +336,73 @@ def _integrate(rows, initials) -> list[Trajectory]:
     white = slice(0, 3) if markov else slice(2, 3)
     width = 6 if markov or any(s.pumped for s in starts) else 4
     white_noise = noise and width == 6
-    amp = np.repeat(np.array([s.amp[: width // 2] for s in starts]).T, sizes, axis=1)
-    z = np.zeros((BLOCK, width, n_lanes)) if noise else None
+    ahead = noise and n_lanes >= _AHEAD_LANES
+    # Work buffers, allocated once: x is advanced in place, f and f_new swap.
+    p, k1, k2 = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    f_new = None if markov else np.empty_like(f)
+    scratch = np.empty_like(x[:2]) if markov else None
+    x_white, p_white = x[white], p[white]
+    mul, add, sub = np.multiply, np.add, np.subtract
+    ig0, half_gp = 1j * g0, 0.5 * gp
 
-    def draw(k: int) -> np.ndarray:
-        """Complex noise increments of the next k steps, (k, width // 2, lanes)."""
-        for s, lo, hi in zip(starts, edges[:-1], edges[1:]):
-            w = 6 if markov or s.pumped else 4
-            z[:k, :w, lo:hi] = s.rng.standard_normal((k, w, hi - lo))
-            if w == 6 and not s.pumped:
-                z[:k, 4:, lo:hi] = 0.0
-        return amp * (z[:k, 0::2] + 1j * z[:k, 1::2])
-
-    def drift(x, f):
-        d = np.empty_like(x)
-        swapped = np.conj(x[1::-1])
+    def drift(x, f, d):
+        """Write the drift at (x, f) into d, one ufunc per operation."""
+        dq, dp = d[:2], d[2]
+        np.conj(x[1::-1], out=dq)
         if markov:
-            np.multiply(0.5, -g0 * x[:2] + 1j * g0 * swapped * x[2], out=d[:2])
+            # 0.5 (-g0 A + 1j g0 conj(A_swapped) A_P)
+            mul(ig0, dq, out=dq)
+            mul(dq, x[2], out=dq)
+            mul(-g0, x[:2], out=scratch)
+            add(scratch, dq, out=dq)
         else:
-            np.multiply(0.5, -x[3:] + 1j * g0 * (swapped * x[2] + f), out=d[:2])
-            np.divide(g0 * x[:2] - x[3:], tau, out=d[3:])
-        np.multiply(0.5 * gp, -x[2] + 1j * (x[0] * x[1] + mu), out=d[2])
-        return d
+            # 0.5 (-c + 1j g0 (conj(A_swapped) A_P + f)) and (g0 A - c) / tau
+            mul(dq, x[2], out=dq)
+            add(dq, f, out=dq)
+            mul(ig0, dq, out=dq)
+            sub(dq, x[3:], out=dq)
+            dc = d[3:]
+            mul(g0, x[:2], out=dc)
+            sub(dc, x[3:], out=dc)
+            np.divide(dc, tau, out=dc)
+        mul(0.5, dq, out=dq)
+        # 0.5 gP (-A_P + 1j (A_i A_s + mu))
+        mul(x[0], x[1], out=dp)
+        add(dp, mu, out=dp)
+        mul(1j, dp, out=dp)
+        sub(dp, x[2], out=dp)
+        mul(half_gp, dp, out=dp)
+
+    # Noise: each row draws its standard normals at its own width (6 when
+    # Markovian or pumped, else 4) into its own buffer, in the order of one
+    # draw per step, and scales them into complex increments (k, width // 2,
+    # lanes).  A row without pump noise keeps exact zeros in the pump column.
+    # Drawing ahead, one helper thread fills buffer set (b + 1) % 2 while the
+    # loop reads block b from set b % 2, and is the only user of the
+    # generators; otherwise one set is filled inline.
+    feeds = [
+        (s.rng, 6 if markov or s.pumped else 4, np.array(s.amp[: 3 if s.pumped else 2])[:, None],
+         slice(lo, hi))
+        for s, lo, hi in zip(starts, edges[:-1], edges[1:])
+    ]
+    sets = [
+        (
+            [np.empty((BLOCK, w, lanes.stop - lanes.start)) for _, w, _, lanes in feeds],
+            np.zeros((BLOCK, width // 2, n_lanes), complex),
+        )
+        for _ in range(2 if ahead else 1 if noise else 0)
+    ]
+
+    def fill(b: int) -> np.ndarray:
+        """Draw and scale the noise of block b into its buffer set."""
+        zs, inc = sets[b % len(sets)]
+        k = min(BLOCK, total - b * BLOCK)
+        for (rng, _, a, lanes), z in zip(feeds, zs):
+            rng.standard_normal(out=z[:k])
+            out = inc[:k, : len(a), lanes]
+            mul(a, z[:k, 0 : 2 * len(a) : 2], out=out.real)
+            mul(a, z[:k, 1 : 2 * len(a) : 2], out=out.imag)
+        return inc
 
     # Each row records into its own buffers, so no copy is made at the end.
     n_rec = n_samp // stride
@@ -358,25 +416,39 @@ def _integrate(rows, initials) -> list[Trajectory]:
     ]
     failed: dict[int, int] = {}  # row -> first step seen non-finite
     # Overflow en route to the StepOverflow check is deliberate; keep
-    # numpy from spraying per-operation warnings about it.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # numpy from spraying per-operation warnings about it.  The executor
+    # starts its thread at the first submit, so a run that draws inline, or
+    # has no noise, starts none.
+    with np.errstate(over="ignore", invalid="ignore"), ThreadPoolExecutor(1) as pool:
+        if ahead:
+            pending = pool.submit(fill, 0)
         for step in range(total):
             j = step % BLOCK
             if noise and j == 0:
-                increments = draw(min(BLOCK, total - step))
+                b = step // BLOCK
+                increments = pending.result() if ahead else fill(b)
+                if ahead and step + BLOCK < total:
+                    pending = pool.submit(fill, b + 1)
             if not markov:
-                f_new = f * decay + increments[j, :2] if noise else f * decay
+                mul(f, decay, out=f_new)
+                if noise:
+                    add(f_new, increments[j, :2], out=f_new)
             dW = increments[j, white] if white_noise else 0.0
-            k1 = drift(x, f)
+            drift(x, f, k1)
             if heun:
-                p = x + k1 * dt
-                p[white] += dW
-                k2 = drift(p, f_new)
-                x = x + 0.5 * (k1 + k2) * dt
+                mul(k1, dt, out=p)
+                add(x, p, out=p)
+                add(p_white, dW, out=p_white)
+                drift(p, f_new, k2)
+                add(k1, k2, out=k2)
+                mul(0.5, k2, out=k2)
+                mul(k2, dt, out=k2)
+                add(x, k2, out=x)
             else:
-                x = x + k1 * dt
-            x[white] += dW
-            f = f_new
+                mul(k1, dt, out=k1)
+                add(x, k1, out=x)
+            add(x_white, dW, out=x_white)
+            f, f_new = f_new, f
 
             if (step + 1) % _OVERFLOW_CHECK == 0 or step == total - 1:
                 finite = np.isfinite(x[0].real) & np.isfinite(x[2].real)

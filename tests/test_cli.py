@@ -250,6 +250,9 @@ def test_negativity_stays_finite_where_the_variance_underflows(capsys, kappa):
          "NonPositiveRate"),
         (("negativity", "--nth", "0,-1"), "ParameterError"),
         (("negativity", "--nth", "0,nan", "--markovian-comparator"), "ParameterError"),
+        # the grid is checked against the rates given, on every route
+        (("variances", "--mu", "0.5", "--kappa", "1", "--method", "closed", "--gammaP", "5"),
+         "PumpNotFast"),
     ],
 )
 def test_invalid_grid_points_exit_2_with_their_error_class(capsys, argv, error):
@@ -300,6 +303,13 @@ def test_invalid_phase_diagram_points_are_named(capsys, argv, detail):
         (("variances", "--mu", "0.5", "--kappa", "1e14,5e-324", "--method", "integrate"),
          "variances at mu=0.5, kappa=5e-324: "
          "kappa = 5e-324 is too small: tau_r = 1/(gamma0*kappa) overflows"),
+        # tau_r = 1/(gamma0 kappa) overflows at kappa = 1e-308 only for gamma0 < 1
+        (("variances", "--mu", "0.5", "--kappa", "1e-308", "--gamma0", "0.5", "--method",
+          "integrate"), "variances at mu=0.5, kappa=1e-308: "
+         "kappa = 1e-308 is too small: tau_r = 1/(gamma0*kappa) overflows"),
+        (("variances", "--mu", "0.5", "--kappa", "1,1e-308", "--gamma0", "0.5", "--method",
+          "integrate"), "variances at mu=0.5, kappa=1e-308: "
+         "kappa = 1e-308 is too small: tau_r = 1/(gamma0*kappa) overflows"),
     ],
 )
 def test_invalid_points_are_named_before_any_is_solved(capsys, monkeypatch, argv, detail):
@@ -328,6 +338,18 @@ def test_kappa_whose_memory_time_overflows_exits_2(capsys, monkeypatch, command)
     diag = json.loads(err)
     assert diag["error"] == ("ParameterError" if command == "negativity" else "NonPositiveRate")
     assert "kappa = 5e-324 is too small" in diag["detail"]
+
+
+@pytest.mark.parametrize(
+    "command", ["phase-diagram", "eigenflow", "variances", "steady-state", "simulate", "negativity"]
+)
+@pytest.mark.parametrize("tau_r", ["inf", "-1"])
+def test_memory_time_given_is_named_when_invalid(capsys, command, tau_r):
+    rc, out, err = run(capsys, command, "--mu", "0.5", "--tau-r", tau_r)
+    assert (rc, out) == (2, "")
+    diag = json.loads(err)
+    assert diag["error"] == "NonPositiveRate"
+    assert diag["violations"] == [["tau_r", f"must be non-negative and finite, got {float(tau_r)}"]]
 
 
 def test_failing_grid_points_are_named(capsys):

@@ -14,7 +14,7 @@ from nmpo.errors import (
     PumpNotFast,
     SlowPumpWarning,
 )
-from nmpo.model import SystemParams, kernel_freq
+from nmpo.model import SystemParams, kappa_of, kernel_freq
 
 # === memory kernel ============================================================
 
@@ -88,6 +88,16 @@ def test_marginal_pump_warns():
 def test_negative_memory_time_rejected():
     with pytest.raises(NonPositiveRate):
         SystemParams(gamma0=1.0, gammaP=100.0, tau_r=-1.0, g=0.01, mu=0.0)
+
+
+@pytest.mark.parametrize("tau_r", [math.inf, math.nan, -1.0])
+def test_memory_time_must_be_finite_and_non_negative(tau_r):
+    with pytest.raises(NonPositiveRate) as err:
+        SystemParams(1.0, 100.0, tau_r, 0.01, 0.5)
+    assert err.value.violations == [("tau_r", f"must be non-negative and finite, got {tau_r}")]
+    with pytest.raises(NonPositiveRate) as err:
+        kappa_of(1.0, tau_r)
+    assert str(err.value) == f"tau_r: must be non-negative and finite, got {tau_r}"
 
 
 def test_negative_occupancy_rejected():

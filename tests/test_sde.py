@@ -1,6 +1,8 @@
 """Stochastic integrator, noise process, and trajectory estimators."""
 
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from scipy.signal import welch
 
 import sde_oracle
+from nmpo import sde
 from nmpo.errors import (
     InsufficientSamples,
     NonStationary,
@@ -460,6 +463,85 @@ def test_step_overflow_matches_the_oracle():
     with pytest.raises(StepOverflow) as got:
         integrate_trajectory(p, c, initial=start)
     assert str(got.value) == str(want.value)
+
+
+# Two rows of 128 lanes: enough that the next noise block is drawn on the
+# helper thread, and that numpy releases the GIL inside the step loop, so the
+# helper really draws while the loop reads the current block.
+WIDE = dict(n_traj=128)
+
+
+def wide_rows(p, **cfg):
+    return [(p, SimConfig(**{**ORACLE_BASE, **WIDE, **cfg, "seed": seed})) for seed in (3, 4)]
+
+
+@pytest.mark.parametrize("mu, kappa", [(2.0, 1.0), (0.5, math.inf)])
+@pytest.mark.parametrize(
+    "plan, steps",
+    [
+        # no burn-in floor: the whole run is 20 steps, one partial noise block
+        (dict(t_burn=0.0, t_sample=0.15, record_stride=1), 20),
+        # 2080 + 128 steps: 69 whole noise blocks
+        (dict(t_burn=15.6, t_sample=0.96), 69 * BLOCK),
+    ],
+    ids=["one-partial-block", "whole-blocks"],
+)
+def test_block_edges_are_bit_identical_to_the_oracle(monkeypatch, mu, kappa, plan, steps):
+    monkeypatch.setattr(sde, "_BURN_FACTOR", 0.0)
+    p = oracle_params(mu, kappa)
+    fields = RECORDABLE if kappa < math.inf else ("A_i", "A_s", "A_P")
+    rows = wide_rows(p, **plan, record_fields=fields)
+    c = rows[0][1]
+    assert round(c.t_burn / c.dt) + round(c.t_sample / c.dt) == steps
+    assert 2 * WIDE["n_traj"] >= sde._AHEAD_LANES
+    # switch threads often, so a block overwritten while in use would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = integrate_ensemble(rows)
+    finally:
+        sys.setswitchinterval(interval)
+    for (p, c), tr in zip(rows, got):
+        assert_same_records(tr, sde_oracle.integrate_trajectory(p, c))
+
+
+def test_no_thread_outlives_an_integration():
+    before = threading.active_count()
+    integrate_ensemble(wide_rows(oracle_params(0.5, 1.0)))
+    assert threading.active_count() == before
+    # the overflow of test_step_overflow_matches_the_oracle, without and with noise
+    p = oracle_params(2000.0, 1.0)
+    for noise in (False, True):
+        with pytest.raises(StepOverflow):
+            integrate_ensemble(wide_rows(p, noise=noise, t_sample=10.0))
+        assert threading.active_count() == before
+
+
+def test_a_failed_noise_draw_surfaces_and_stops_the_helper(monkeypatch):
+    # The third block is drawn on the helper thread while the loop steps
+    # through the second; its error reaches the caller.
+    class FailingDraws:
+        def __init__(self, rng):
+            self.rng, self.calls = rng, 0
+
+        def standard_normal(self, *args, **kwargs):
+            self.calls += 1
+            if self.calls == 3:
+                raise RuntimeError("draw failed")
+            return self.rng.standard_normal(*args, **kwargs)
+
+    start_row = sde._start_row
+
+    def failing_start(*args):
+        row = start_row(*args)
+        row.rng = FailingDraws(row.rng)
+        return row
+
+    monkeypatch.setattr(sde, "_start_row", failing_start)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="draw failed"):
+        integrate_ensemble(wide_rows(oracle_params(0.5, 1.0)))
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("kappas", [(1.0, 1.5, 2.0), (math.inf, math.inf)])
