@@ -28,16 +28,18 @@ allocates nothing: the state, the Heun predictor, both drift evaluations,
 the forces and the drift scratch are allocated once, and every elementwise
 operation writes into them through out=.  Each row's noise is drawn BLOCK
 steps at a time from its own generator seeded by its config, in the same
-order as one draw per step.  Once the lanes are wide enough that numpy
-releases the GIL inside the step loop, the next block is drawn on one
-helper thread while the loop steps through the current one (the normal fill
-releases the GIL too); there is no option for it.  Recorded samples go into
-preallocated buffers.  integrate_ensemble steps several rows together, such
-as the points of a kappa sweep: their lanes sit side by side and the
-per-row values (tau_r, OU decay, noise amplitudes) are lane vectors.
-integrate_trajectory is the one-row case.  Every elementwise expression
-keeps a fixed operand order, so identical (seed, config, params) give
-bit-identical output whether a row runs alone or in an ensemble.
+order as one draw per step.  The next block is handed to one helper thread
+while the loop steps through the current one (the normal fill releases the
+GIL); if the helper has not begun it when the loop gets there, as happens
+when the lanes are too narrow for numpy to release the GIL inside the step
+loop, the loop draws the block itself.  There is no option for it.
+Recorded samples go into preallocated buffers.  integrate_ensemble steps
+several rows together, such as the points of a kappa sweep: their lanes
+sit side by side and the per-row values (tau_r, OU decay, noise
+amplitudes) are lane vectors.  integrate_trajectory is the one-row case.
+Every elementwise expression keeps a fixed operand order, so identical
+(seed, config, params) give bit-identical output whether a row runs alone
+or in an ensemble.
 """
 
 from __future__ import annotations
@@ -68,12 +70,6 @@ _BURN_FACTOR = 20.0
 _OVERFLOW_CHECK = 256
 # Steps of noise drawn per generator call.
 BLOCK = 32
-# Lanes from which the next noise block is drawn ahead on a helper thread.
-# numpy releases the GIL only in loops over more than 500 elements, so with
-# fewer lanes the drift's (2, lanes) operations hold it: the helper runs
-# only while the loop waits for it, and the hand-over costs more than
-# drawing the block inline (measured break-even: 150-200 lanes).
-_AHEAD_LANES = 256
 # Rows of the stacked state x and of the forces f holding each recordable field.
 _X_ROWS = {"A_i": 0, "A_s": 1, "A_P": 2, "c_i": 3, "c_s": 4}
 _F_ROWS = {"f_i": 0, "f_s": 1}
@@ -336,7 +332,6 @@ def _integrate(rows, initials) -> list[Trajectory]:
     white = slice(0, 3) if markov else slice(2, 3)
     width = 6 if markov or any(s.pumped for s in starts) else 4
     white_noise = noise and width == 6
-    ahead = noise and n_lanes >= _AHEAD_LANES
     # Work buffers, allocated once: x is advanced in place, f and f_new swap.
     p, k1, k2 = np.empty_like(x), np.empty_like(x), np.empty_like(x)
     f_new = None if markov else np.empty_like(f)
@@ -377,9 +372,10 @@ def _integrate(rows, initials) -> list[Trajectory]:
     # Markovian or pumped, else 4) into its own buffer, in the order of one
     # draw per step, and scales them into complex increments (k, width // 2,
     # lanes).  A row without pump noise keeps exact zeros in the pump column.
-    # Drawing ahead, one helper thread fills buffer set (b + 1) % 2 while the
-    # loop reads block b from set b % 2, and is the only user of the
-    # generators; otherwise one set is filled inline.
+    # Block b + 1 is drawn into buffer set (b + 1) % 2 while the loop reads
+    # block b from set b % 2, by the helper thread or, if the helper has not
+    # begun it, by the loop; one block is pending at a time, so the
+    # generators see the draws in order and one thread at a time.
     feeds = [
         (s.rng, 6 if markov or s.pumped else 4, np.array(s.amp[: 3 if s.pumped else 2])[:, None],
          slice(lo, hi))
@@ -390,12 +386,12 @@ def _integrate(rows, initials) -> list[Trajectory]:
             [np.empty((BLOCK, w, lanes.stop - lanes.start)) for _, w, _, lanes in feeds],
             np.zeros((BLOCK, width // 2, n_lanes), complex),
         )
-        for _ in range(2 if ahead else 1 if noise else 0)
+        for _ in range(2 if noise else 0)
     ]
 
     def fill(b: int) -> np.ndarray:
         """Draw and scale the noise of block b into its buffer set."""
-        zs, inc = sets[b % len(sets)]
+        zs, inc = sets[b % 2]
         k = min(BLOCK, total - b * BLOCK)
         for (rng, _, a, lanes), z in zip(feeds, zs):
             rng.standard_normal(out=z[:k])
@@ -417,17 +413,19 @@ def _integrate(rows, initials) -> list[Trajectory]:
     failed: dict[int, int] = {}  # row -> first step seen non-finite
     # Overflow en route to the StepOverflow check is deliberate; keep
     # numpy from spraying per-operation warnings about it.  The executor
-    # starts its thread at the first submit, so a run that draws inline, or
-    # has no noise, starts none.
+    # starts its thread at the first submit, so a run without noise starts
+    # none.  A block the helper has not begun is cancelled and drawn here:
+    # with narrow lanes the loop never releases the GIL, and waiting for the
+    # helper would cost two thread switches per block for no overlap.
     with np.errstate(over="ignore", invalid="ignore"), ThreadPoolExecutor(1) as pool:
-        if ahead:
+        if noise:
             pending = pool.submit(fill, 0)
         for step in range(total):
             j = step % BLOCK
             if noise and j == 0:
                 b = step // BLOCK
-                increments = pending.result() if ahead else fill(b)
-                if ahead and step + BLOCK < total:
+                increments = fill(b) if pending.cancel() else pending.result()
+                if step + BLOCK < total:
                     pending = pool.submit(fill, b + 1)
             if not markov:
                 mul(f, decay, out=f_new)

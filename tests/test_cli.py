@@ -250,7 +250,8 @@ def test_negativity_stays_finite_where_the_variance_underflows(capsys, kappa):
          "NonPositiveRate"),
         (("negativity", "--nth", "0,-1"), "ParameterError"),
         (("negativity", "--nth", "0,nan", "--markovian-comparator"), "ParameterError"),
-        # the grid is checked against the rates given, on every route
+        # the grid is checked against the rates given, on every route: the
+        # closed forms hold for a fast pump only
         (("variances", "--mu", "0.5", "--kappa", "1", "--method", "closed", "--gammaP", "5"),
          "PumpNotFast"),
     ],

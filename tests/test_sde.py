@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import warnings
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -465,9 +466,9 @@ def test_step_overflow_matches_the_oracle():
     assert str(got.value) == str(want.value)
 
 
-# Two rows of 128 lanes: enough that the next noise block is drawn on the
-# helper thread, and that numpy releases the GIL inside the step loop, so the
-# helper really draws while the loop reads the current block.
+# Two rows of 128 lanes: enough that numpy releases the GIL inside the step
+# loop, so the helper thread really draws the next noise block while the
+# loop reads the current one.
 WIDE = dict(n_traj=128)
 
 
@@ -493,7 +494,6 @@ def test_block_edges_are_bit_identical_to_the_oracle(monkeypatch, mu, kappa, pla
     rows = wide_rows(p, **plan, record_fields=fields)
     c = rows[0][1]
     assert round(c.t_burn / c.dt) + round(c.t_sample / c.dt) == steps
-    assert 2 * WIDE["n_traj"] >= sde._AHEAD_LANES
     # switch threads often, so a block overwritten while in use would show
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -502,6 +502,37 @@ def test_block_edges_are_bit_identical_to_the_oracle(monkeypatch, mu, kappa, pla
     finally:
         sys.setswitchinterval(interval)
     for (p, c), tr in zip(rows, got):
+        assert_same_records(tr, sde_oracle.integrate_trajectory(p, c))
+
+
+class _Unstarted:
+    """An executor whose work never begins: the loop draws every block."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        return Future()
+
+
+class _Eager(_Unstarted):
+    """An executor that finishes each block as it is handed over."""
+
+    def submit(self, fn, *args):
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+
+@pytest.mark.parametrize("executor", [_Unstarted, _Eager], ids=["loop-draws", "helper-draws"])
+@pytest.mark.parametrize("mu, kappa", [(2.0, 1.0), (0.5, math.inf)])
+def test_blocks_drawn_by_the_loop_or_the_helper_match_the_oracle(monkeypatch, executor, mu, kappa):
+    monkeypatch.setattr(sde, "ThreadPoolExecutor", lambda workers: executor())
+    rows = wide_rows(oracle_params(mu, kappa), t_sample=1.0)
+    for (p, c), tr in zip(rows, integrate_ensemble(rows)):
         assert_same_records(tr, sde_oracle.integrate_trajectory(p, c))
 
 
@@ -518,8 +549,9 @@ def test_no_thread_outlives_an_integration():
 
 
 def test_a_failed_noise_draw_surfaces_and_stops_the_helper(monkeypatch):
-    # The third block is drawn on the helper thread while the loop steps
-    # through the second; its error reaches the caller.
+    # The third block is drawn while the loop steps through the second, on
+    # the helper thread or, if it has not begun, by the loop; either way its
+    # error reaches the caller.
     class FailingDraws:
         def __init__(self, rng):
             self.rng, self.calls = rng, 0
