@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import NumericsError, ParameterError, located
+from .errors import InsufficientSamples, NumericsError, ParameterError, located
 from .linres import build_embedded_matrix, eigenflow_sweep, eigenspectrum
 from .meanfield import (
     _BASE,
@@ -256,10 +256,11 @@ def _cmd_phase_diagram(args) -> int:
     kappa_grid = _kappa_values(args)
     base = _params_at(args, 0.0, float(kappa_grid[0]))
     rows = phase_diagram(mu_grid, kappa_grid, base=base)
+    kappa_meta = args.kappa if args.tau_r is None else _fmt(kappa_grid[0])
     _write_csv(
         args,
         "phase-diagram",
-        {"mu": args.mu, "kappa": args.kappa},
+        {"mu": args.mu, "kappa": kappa_meta},
         ("mu", "kappa", "phase", "max_re_lambda"),
         rows,
     )
@@ -447,8 +448,11 @@ def _cmd_simulate(args) -> int:
         bad.append(("decimate", f"must be >= 1, got {args.decimate}"))
     if not 0 <= args.traj_index < args.n_traj:
         bad.append(("traj_index", f"{args.traj_index} out of range for n_traj={args.n_traj}"))
+    if args.n_traj < 2:
+        bad.append(("n_traj", f"ensemble estimates need >= 2 trajectories, got {args.n_traj}"))
     if bad:
-        raise ParameterError("; ".join(f"{f}: {m}" for f, m in bad), bad)
+        error = InsufficientSamples if args.n_traj < 2 else ParameterError
+        raise error("; ".join(f"{f}: {m}" for f, m in bad), bad)
     # Runs of neighbouring rows that can share a step loop integrate in
     # lockstep; a run of one row is integrated alone.
     estimated = []

@@ -156,7 +156,7 @@ def _check_gamma0(gamma0: float) -> None:
 def kappa_of(gamma0: float, tau_r: float) -> float:
     """kappa = 1/(gamma0 tau_r); tau_r = 0 gives the Markovian kappa = inf."""
     _check_gamma0(gamma0)
-    msg = _tau_r_violation(tau_r)
+    msg = _tau_r_violation(tau_r, gamma0)
     if msg:
         raise NonPositiveRate(f"tau_r: {msg}", [("tau_r", msg)])
     return math.inf if tau_r == 0.0 else 1.0 / (gamma0 * tau_r)
@@ -173,14 +173,20 @@ def _tau_r_of(gamma0: float, kappa: float) -> float:
     return 0.0 if math.isinf(kappa) else 1.0 / (gamma0 * kappa)
 
 
-def _tau_r_violation(tau_r: float) -> str | None:
-    """The rule a memory time breaks, or None when it is finite and >= 0."""
-    return None if 0.0 <= tau_r < math.inf else f"must be non-negative and finite, got {tau_r}"
+def _tau_r_violation(tau_r: float, gamma0: float) -> str | None:
+    """The rule a memory time breaks, or None when it is finite and >= 0 and,
+    if positive, kappa = 1/(gamma0 tau_r) is finite (checked for gamma0 > 0)."""
+    if not (0.0 <= tau_r < math.inf):
+        return f"must be non-negative and finite, got {tau_r}"
+    if tau_r > 0 and gamma0 > 0 and _no_memory_time(gamma0, tau_r):
+        return f"so small that kappa = 1/(gamma0*tau_r) overflows, got {tau_r}"
+    return None
 
 
 def _no_memory_time(gamma0: float, kappa: float) -> bool:
     """True unless tau_r = 1/(gamma0 kappa) is a finite float >= 0: kappa <= 0
-    or NaN, or a kappa so small that tau_r overflows."""
+    or NaN, or a kappa so small that tau_r overflows.  The relation is
+    symmetric, so with tau_r in place of kappa it tells whether kappa overflows."""
     rate = gamma0 * kappa
     return not (rate > 0) or math.isinf(1.0 / rate)
 
@@ -201,7 +207,7 @@ def _collect_violations(p) -> list[tuple[str, str, str]]:
         v = getattr(p, name)
         if not (v > 0) or math.isinf(v) or math.isnan(v):
             out.append(("rate", name, f"must be strictly positive and finite, got {v}"))
-    msg = _tau_r_violation(p.tau_r)
+    msg = _tau_r_violation(p.tau_r, p.gamma0)
     if msg:
         out.append(("rate", "tau_r", msg))
     if not (0.0 <= p.mu < math.inf):

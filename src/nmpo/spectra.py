@@ -18,7 +18,8 @@ Equal-time variances are the stationary covariance C of the Ornstein-
 Uhlenbeck process (A, D): A C + C A^T + D = 0 (Lyapunov; Gardiner,
 Stochastic Methods).  Marginal modes (the gauge zero mode above threshold,
 the critical modes on the boundary) are projected out, and the quadratures
-they touch are reported divergent.
+they touch are reported divergent.  scipy.linalg is imported inside the two
+functions of this route, so that every other route starts on numpy alone.
 
 Normalized variances divide out the thermal scale: sigma = Var / [s^2
 (n_th + 1/2)] with s^2 = 2 g^2/(gamma0 gammaP) the thermal variance of one
@@ -46,7 +47,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur, solve_continuous_lyapunov, solve_sylvester
 
 from . import linres
 from .errors import (
@@ -193,6 +193,8 @@ def _marginal_projector(a: np.ndarray, is_marginal) -> tuple[np.ndarray, np.ndar
     T11 X - X T22 = -T12 gives P = Z [[I, -X], [0, 0]] Z^T, which (unlike
     eigenvectors) stays real when the zero eigenvalue is defective.
     """
+    from scipy.linalg import schur, solve_sylvester
+
     try:
         t, z, k = schur(a, output="real", sort=is_marginal)
     except np.linalg.LinAlgError as exc:
@@ -357,6 +359,8 @@ def integrate_variances(sd: SpectralData) -> VarianceReport:
     covariance, NaN in their off-diagonal entries.  A negative variance
     of a reported quadrature is a failed solve and raises NumericsError.
     """
+    from scipy.linalg import solve_continuous_lyapunov
+
     params, ss = sd.params, sd.ss
     a, d = sd.generator.matrix, sd.diffusion
     proj, touched = _marginal_projector(a, _marginal_rule(params, ss))

@@ -169,6 +169,28 @@ def test_phase_diagram_grid(capsys):
     assert all(float(r[3]) <= 1e-8 for r in rows)
 
 
+@pytest.mark.parametrize(
+    "argv, kappa_meta, row_kappas",
+    [
+        (("--kappa", "0.2,1.0"), "kappa=0.2,1.0", {"0.2", "1"}),
+        ((), "kappa=0.05:2:201", None),
+        (("--tau-r", "2"), "kappa=0.5", {"0.5"}),
+        (("--gamma0", "2", "--gammaP", "200", "--tau-r", "2"), "kappa=0.25", {"0.25"}),
+    ],
+)
+def test_phase_diagram_header_names_the_kappa_it_solved(capsys, argv, kappa_meta, row_kappas):
+    rc, out, _ = run(capsys, "phase-diagram", "--mu", "0.5,2", *argv)
+    assert rc == 0
+    params_line = next(l for l in out.splitlines() if l.startswith("# params:"))
+    assert params_line.endswith(f" mu=0.5,2 {kappa_meta}")
+    _, rows = data_rows(out)
+    solved = {r[1] for r in rows}
+    if row_kappas is None:  # the default grid
+        assert len(solved) == 201
+    else:
+        assert solved == row_kappas
+
+
 def test_eigenflow_metadata_and_rows(capsys):
     rc, out, _ = run(capsys, "eigenflow", "--kappa", "0.5", "--mu", "0:2:5")
     assert rc == 0
@@ -353,6 +375,15 @@ def test_memory_time_given_is_named_when_invalid(capsys, command, tau_r):
     assert diag["violations"] == [["tau_r", f"must be non-negative and finite, got {float(tau_r)}"]]
 
 
+def test_memory_time_whose_kappa_overflows_is_named(capsys):
+    # kappa = 1/(gamma0 tau_r) overflows: not the Markovian model
+    rc, out, err = run(capsys, "steady-state", "--mu", "0.5", "--tau-r", "1e-320")
+    assert (rc, out) == (2, "")
+    diag = json.loads(err)
+    assert diag["error"] == "NonPositiveRate"
+    assert [f for f, _ in diag["violations"]] == ["tau_r"]
+
+
 def test_failing_grid_points_are_named(capsys):
     rc, out, err = run(capsys, "phase-diagram", "--mu", "0,1e10,1e12", "--kappa", "0.2,1")
     assert (rc, out) == (3, "")
@@ -505,7 +536,11 @@ def test_simulate_sweep_equals_per_row_oracle_runs(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "kappa, extra, error",
-    [("1,-1", (), "NonPositiveRate"), ("1,0.01", ("--t-burn", "20"), "ParameterError")],
+    [
+        ("1,-1", (), "NonPositiveRate"),
+        ("1,0.01", ("--t-burn", "20"), "ParameterError"),
+        ("1", ("--n-traj", "1"), "InsufficientSamples"),
+    ],
 )
 def test_simulate_checks_every_row_before_integrating(capsys, monkeypatch, kappa, extra, error):
     def integrated(*args, **kwargs):
@@ -515,7 +550,9 @@ def test_simulate_checks_every_row_before_integrating(capsys, monkeypatch, kappa
     monkeypatch.setattr(cli, "integrate_ensemble", integrated)
     rc, _, err = run(capsys, "simulate", "--mu", "0.5", "--kappa", kappa, *SIM_FAST, *extra)
     assert rc == 2
-    assert json.loads(err)["error"] == error
+    diag = json.loads(err)
+    assert diag["error"] == error
+    assert diag["violations"]
 
 
 @pytest.mark.parametrize(

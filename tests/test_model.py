@@ -85,6 +85,18 @@ def test_marginal_pump_warns():
         SystemParams(gamma0=1.0, gammaP=20.0, tau_r=1.0, g=0.01, mu=0.0)
 
 
+@pytest.mark.parametrize("gamma0, tau_r", [(1.0, 1e-320), (1.0, 5e-324), (1e-200, 1e-200)])
+def test_memory_time_whose_kappa_overflows_rejected(gamma0, tau_r):
+    with pytest.raises(NonPositiveRate) as err:
+        SystemParams(gamma0, 100.0 * gamma0, tau_r, 0.01, 0.5)
+    assert [f for f, _ in err.value.violations] == ["tau_r"]
+    with pytest.raises(NonPositiveRate):
+        kappa_of(gamma0, tau_r)
+    # a memory time whose kappa is finite, if huge, is accepted
+    p = SystemParams(gamma0, 100.0 * gamma0, 1.0 / (gamma0 * 1e308), 0.01, 0.5)
+    assert math.isfinite(p.kappa) and not p.markovian
+
+
 def test_negative_memory_time_rejected():
     with pytest.raises(NonPositiveRate):
         SystemParams(gamma0=1.0, gammaP=100.0, tau_r=-1.0, g=0.01, mu=0.0)

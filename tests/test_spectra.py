@@ -277,6 +277,42 @@ def test_cli_import_leaves_out_spectral_quadrature():
     assert out.strip() == "False"
 
 
+def _cli_in_fresh_interpreter(argv):
+    """(exit code, whether any scipy module got loaded) of nmpo.cli.main(argv)
+    run in a new interpreter."""
+    code = (
+        "import sys, nmpo.cli\n"
+        f"rc = nmpo.cli.main({list(argv) + ['--out', os.devnull]!r})\n"
+        "print(rc, any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nmpo.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    rc, loaded = out.split()
+    return int(rc), loaded == "True"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param("phase-diagram --mu 0:2:5 --kappa 0.2,1,inf", id="phase-diagram"),
+        pytest.param("eigenflow --mu 0:2:9 --kappa 0.5,1", id="eigenflow"),
+        pytest.param("steady-state --mu 1.5 --kappa 0.2", id="steady-state"),
+        pytest.param("negativity --mu 0.1:0.9:5 --kappa 0.2,1", id="negativity"),
+        pytest.param("variances --mu 0:2:5 --kappa 1,inf --method closed", id="variances-closed"),
+        pytest.param("simulate --mu 2 --kappa 1 --gammaP 20 --dt 0.005 --t-burn 20 "
+                     "--t-sample 11 --n-traj 2 --record-stride 10", id="simulate"),
+    ],
+)
+def test_numpy_only_subcommands_leave_out_scipy(argv):
+    assert _cli_in_fresh_interpreter(argv.split()) == (0, False)
+
+
+def test_lyapunov_route_loads_scipy_when_called():
+    argv = "variances --mu 0.5,2 --kappa 1 --method integrate"
+    assert _cli_in_fresh_interpreter(argv.split()) == (0, True)
+
+
 # === closed forms =============================================================
 
 
