@@ -1,11 +1,12 @@
 """Command-line front end for sweeps and one-shot computations.
 
-Outputs are reproducible artifacts: every file starts with a metadata
-header (tool version, subcommand, fully resolved parameters, seed) and
-contains no timestamps, so re-running a command with the echoed parameters
-reproduces the data section byte for byte.  CSV is long-format, one row per
-grid point.  Exit codes: 0 success, 2 parameter validation (JSON
-diagnostics on stderr), 3 numerical failure, 4 I/O failure.
+Each subcommand takes only the options it reads; an option it does not
+take exits 2.  Outputs are reproducible artifacts: every file starts with a
+metadata header (tool version, subcommand, the options taken, the kappa
+solved, seed) and contains no timestamps, so re-running a command with the
+echoed parameters reproduces the data section byte for byte.  CSV is
+long-format, one row per grid point.  Exit codes: 0 success, 2 parameter
+validation (JSON diagnostics on stderr), 3 numerical failure, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .meanfield import (
     steady_state,
     steady_state_residual,
 )
-from .model import SystemParams, kappa_of
+from .model import SystemParams, _check_gamma0, kappa_of
 from .sde import (
     SimConfig,
     estimate_order_parameters,
@@ -58,7 +59,12 @@ _FMT = "%.12g"
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage errors through the JSON diagnostic path."""
+    """argparse that reports usage errors through the JSON diagnostic path and
+    takes no abbreviations, which would parse an option a subcommand lacks as
+    one it has (--g as --gamma0)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ParameterError(message, [("argv", message)])
@@ -94,10 +100,17 @@ def _parse_values(spec: str, name: str) -> np.ndarray:
         ) from exc
 
 
-def _kappa_values(args, name="--kappa") -> np.ndarray:
-    if getattr(args, "tau_r", None) is not None:
+def _kappa_values(args) -> np.ndarray:
+    """The kappa grid given, or the kappa --tau-r solves; --gamma0 is checked either way."""
+    if args.tau_r is not None:
         return np.array([kappa_of(args.gamma0, args.tau_r)])
-    return _parse_values(args.kappa, name)
+    _check_gamma0(args.gamma0)
+    return _parse_values(args.kappa, "--kappa")
+
+
+def _kappa_header(args, kappa_grid) -> str:
+    """The kappa a CSV header names: the spec as given, or the kappa --tau-r solved."""
+    return args.kappa if args.tau_r is None else _fmt(kappa_grid[0])
 
 
 def _scalar_kappa(kappa_grid: np.ndarray, what: str) -> float:
@@ -107,33 +120,27 @@ def _scalar_kappa(kappa_grid: np.ndarray, what: str) -> float:
 
 
 def _params_at(args, mu: float, kappa: float) -> SystemParams:
-    nth_p = args.nth_pump if args.nth_pump is not None else args.nth
+    """The model at (mu, kappa); without --g and --nth, at the default coupling
+    and zero occupancies, which those subcommands' outputs do not depend on."""
+    nth, nth_p = getattr(args, "nth", 0.0), getattr(args, "nth_pump", None)
+    g = getattr(args, "g", _BASE.g)
     return SystemParams.from_kappa(
-        gamma0=args.gamma0,
-        gammaP=args.gammaP,
-        kappa=kappa,
-        g=args.g,
-        mu=mu,
-        n_th_i=args.nth,
-        n_th_s=args.nth,
-        n_th_P=nth_p,
+        args.gamma0, args.gammaP, kappa, g, mu, nth, nth, nth if nth_p is None else nth_p
     )
 
 
-def _meta_lines(args, command: str, extra: dict | None = None) -> list[str]:
+def _header_fields(args, extra: dict) -> dict:
+    """The model options this subcommand takes, --tau-r when given, then
+    `extra`.  An option left at None is null in JSON and omitted in CSV."""
     fields = {
-        "gamma0": args.gamma0,
-        "gammaP": args.gammaP,
-        "g": args.g,
-        "nth": getattr(args, "nth", None),
-        "nth_pump": args.nth_pump,
-        "seed": getattr(args, "seed", None),
+        name: getattr(args, name)
+        for name in ("gamma0", "gammaP", "g", "nth", "nth_pump", "seed")
+        if hasattr(args, name)
     }
-    if getattr(args, "tau_r", None) is not None:
+    if args.tau_r is not None:
         fields["tau_r"] = args.tau_r
-    fields.update(extra or {})
-    parts = " ".join(f"{k}={v}" for k, v in fields.items() if v is not None)
-    return [f"# nmpo {__version__}", f"# command: {command}", f"# params: {parts}"]
+    fields.update(extra)
+    return fields
 
 
 def _write_text(path: str, text: str) -> None:
@@ -144,13 +151,19 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
 
 
-def _write_csv(args, command, extra_meta, columns, rows) -> None:
-    lines = _meta_lines(args, command, extra_meta)
+def _csv_text(args, command, extra_meta, columns, rows) -> str:
+    fields = _header_fields(args, extra_meta)
+    parts = " ".join(f"{k}={v}" for k, v in fields.items() if v is not None)
+    lines = [f"# nmpo {__version__}", f"# command: {command}", f"# params: {parts}"]
     lines.append("# columns: " + ",".join(columns))
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def _write_csv(args, command, extra_meta, columns, rows) -> None:
+    _write_text(args.out, _csv_text(args, command, extra_meta, columns, rows))
 
 
 def _jsonable(obj):
@@ -178,49 +191,35 @@ def _jsonable(obj):
     return obj
 
 
-def _write_json(args, command, payload, extra_meta=None) -> None:
-    meta = {
-        "tool": "nmpo",
-        "version": __version__,
-        "command": command,
-        "gamma0": args.gamma0,
-        "gammaP": args.gammaP,
-        "g": args.g,
-        "nth": getattr(args, "nth", None),
-        "nth_pump": args.nth_pump,
-    }
-    if getattr(args, "seed", None) is not None:
-        meta["seed"] = args.seed
-    meta.update(extra_meta or {})
+def _write_json(args, command, payload, extra_meta) -> None:
+    meta = {"tool": "nmpo", "version": __version__, "command": command}
+    meta.update(_header_fields(args, extra_meta))
     doc = {"meta": _jsonable(meta)}
     doc.update(_jsonable(payload))
     _write_text(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _add_common(sub, kappa_default: str | None, nth_list: bool = False):
+def _add_common(sub, kappa_default: str, *, pump: bool = True, bath: bool = False) -> None:
+    """--gamma0, --gammaP if pump, --kappa | --tau-r, --g --nth --nth-pump if bath, --out."""
     sub.add_argument("--gamma0", type=float, default=1.0, help="bare damping rate (default 1)")
-    sub.add_argument("--gammaP", type=float, default=100.0, help="pump decay rate (default 100)")
+    if pump:
+        sub.add_argument("--gammaP", type=float, default=100.0,
+                         help="pump decay rate (default 100)")
     grp = sub.add_mutually_exclusive_group()
-    if kappa_default is None:
-        grp.add_argument("--kappa", help="normalized reservoir rate 1/(gamma0 tau_r); grid or list")
-    else:
-        grp.add_argument(
-            "--kappa",
-            default=kappa_default,
-            help=f"normalized reservoir rate; grid or list (default {kappa_default})",
-        )
-    grp.add_argument("--tau-r", dest="tau_r", type=float, help="reservoir memory time (0 = Markovian)")
-    sub.add_argument("--g", type=float, default=0.01, help="mode coupling (default 0.01)")
-    if nth_list:
-        sub.add_argument("--nth", default="0", help="thermal occupancy; comma list allowed")
-    else:
-        sub.add_argument("--nth", type=float, default=0.0, help="thermal occupancy (default 0)")
-    sub.add_argument(
-        "--nth-pump", dest="nth_pump", type=float, default=None,
-        help="pump occupancy (default: same as --nth)",
+    grp.add_argument(
+        "--kappa",
+        default=kappa_default,
+        help=f"normalized reservoir rate; grid or list (default {kappa_default})",
     )
+    grp.add_argument("--tau-r", dest="tau_r", type=float, help="reservoir memory time (0 = Markovian)")
+    if bath:
+        sub.add_argument("--g", type=float, default=0.01, help="mode coupling (default 0.01)")
+        sub.add_argument("--nth", type=float, default=0.0, help="thermal occupancy (default 0)")
+        sub.add_argument(
+            "--nth-pump", dest="nth_pump", type=float, default=None,
+            help="pump occupancy (default: same as --nth)",
+        )
     sub.add_argument("--out", default="-", help="output path; '-' for stdout (default)")
-    sub.add_argument("--format", choices=("csv", "json"), default=None, help="output format")
 
 
 # === subcommands ==============================================================
@@ -256,11 +255,10 @@ def _cmd_phase_diagram(args) -> int:
     kappa_grid = _kappa_values(args)
     base = _params_at(args, 0.0, float(kappa_grid[0]))
     rows = phase_diagram(mu_grid, kappa_grid, base=base)
-    kappa_meta = args.kappa if args.tau_r is None else _fmt(kappa_grid[0])
     _write_csv(
         args,
         "phase-diagram",
-        {"mu": args.mu, "kappa": kappa_meta},
+        {"mu": args.mu, "kappa": _kappa_header(args, kappa_grid)},
         ("mu", "kappa", "phase", "max_re_lambda"),
         rows,
     )
@@ -270,7 +268,7 @@ def _cmd_phase_diagram(args) -> int:
 def _cmd_eigenflow(args) -> int:
     mu_grid = _parse_values(args.mu, "--mu")
     kappa_values = _kappa_values(args)
-    meta = {"mu": args.mu, "kappa": ",".join(_fmt(k) for k in kappa_values)}
+    meta = {"mu": args.mu, "kappa": _kappa_header(args, kappa_values)}
     base = _params_at(args, 0.0, float(kappa_values[0]))
     check_grid(base, mu_grid, kappa_values)
     out_rows = []
@@ -361,7 +359,7 @@ def _cmd_variances(args) -> int:
     _write_csv(
         args,
         "variances",
-        {"mu": args.mu, "kappa": args.kappa, "method": args.method},
+        {"mu": args.mu, "kappa": _kappa_header(args, kappa_grid), "method": args.method},
         (
             "mu", "kappa", "phase",
             "sigma_x_plus", "sigma_x_minus", "sigma_y_plus", "sigma_y_minus", "sigma_sq",
@@ -386,7 +384,8 @@ def _cmd_negativity(args) -> int:
     _write_csv(
         args,
         "negativity",
-        {"mu": args.mu, "kappa": args.kappa, "comparator": int(args.markovian_comparator)},
+        {"mu": args.mu, "kappa": _kappa_header(args, kappa_grid),
+         "comparator": int(args.markovian_comparator)},
         ("mu", "kappa", "n_th", "e_n", "sigma_sq_abs"),
         rows,
     )
@@ -404,13 +403,9 @@ def _dump_trajectory(args, traj) -> None:
             continue
         cols += [f"re_{name}", f"im_{name}"]
         series += [arr[::dec, idx].real, arr[::dec, idx].imag]
-    lines = _meta_lines(args, "simulate --dump-traj", {"traj_index": idx, "decimate": dec})
-    lines.append("# columns: " + ",".join(cols))
-    lines.append(",".join(cols))
-    for vals in zip(*series):
-        lines.append(",".join(_fmt(v) for v in vals))
     with open(args.dump_traj, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_csv_text(args, "simulate --dump-traj", {"traj_index": idx, "decimate": dec},
+                           cols, zip(*series)))
 
 
 def _cmd_simulate(args) -> int:
@@ -515,7 +510,7 @@ def _cmd_simulate(args) -> int:
     _write_csv(
         args,
         "simulate",
-        {"mu": args.mu, "kappa": args.kappa, "seed_rule": "seed+row_index",
+        {"mu": args.mu, "kappa": _kappa_header(args, kappa_values), "seed_rule": "seed+row_index",
          "window": _fmt(results[0][3].window)},
         (
             "kappa", "mu", "amp_mean", "amp_se", "delta_est", "delta_se",
@@ -547,7 +542,7 @@ def _build_parser() -> _Parser:
         epilog="JSON fields: phase, mu_cr, delta, z2_branch, phi, A_i/A_s/A_P (re, im), "
         "residual, max_re_lambda, stable.",
     )
-    _add_common(ss, kappa_default="1")
+    _add_common(ss, "1")
     ss.add_argument("--mu", type=float, default=0.0, help="normalized drive (default 0)")
     ss.add_argument("--z2-branch", dest="z2_branch", type=int, choices=(1, -1), default=1,
                     help="rotation sense in the rotating phase (default 1)")
@@ -560,7 +555,7 @@ def _build_parser() -> _Parser:
         epilog="CSV columns: mu, kappa, phase (disordered|u1|u1xz2), max_re_lambda "
         "(largest Re eigenvalue, gauge zero mode excluded above threshold).",
     )
-    _add_common(pd, kappa_default="0.05:2:201")
+    _add_common(pd, "0.05:2:201")
     pd.add_argument("--mu", default="0:2:201", help="drive grid (default 0:2:201)")
     pd.set_defaults(func=_cmd_phase_diagram)
 
@@ -570,7 +565,7 @@ def _build_parser() -> _Parser:
         epilog="CSV columns: kappa, mu, branch (steady-state family), index (sorted by "
         "descending Re), re_lambda, im_lambda.  Header lists mu_cr and mu_ep per kappa.",
     )
-    _add_common(ef, kappa_default="1.25,0.5,0.15")
+    _add_common(ef, "1.25,0.5,0.15")
     ef.add_argument("--mu", default="0:2:401", help="drive grid (default 0:2:401)")
     ef.set_defaults(func=_cmd_eigenflow)
 
@@ -579,11 +574,12 @@ def _build_parser() -> _Parser:
         help="stationary cross-quadrature variances (closed form or Lyapunov covariance)",
         epilog="CSV columns: mu, kappa, phase, sigma_x_plus, sigma_x_minus, sigma_y_plus, "
         "sigma_y_minus (normalized to n_th+1/2; inf when divergent), sigma_sq (minimum, "
-        "including the mixing-angle scan in the rotating phase), div_x_plus, div_x_minus, "
+        "over the (x+, y-) mixing angle in the rotating phase), div_x_plus, div_x_minus, "
         "div_y_plus, div_y_minus (0|1).  Scalar point with json format: full report with "
         "divergent flags.",
     )
-    _add_common(va, kappa_default="1")
+    _add_common(va, "1", bath=True)
+    va.add_argument("--format", choices=("csv", "json"), default=None, help="output format")
     va.add_argument("--mu", default="0", help="drive value or grid (default 0)")
     va.add_argument("--method", choices=("closed", "integrate", "auto"), default="auto",
                     help="closed forms, Lyapunov covariance of the linearized dynamics, or "
@@ -596,7 +592,8 @@ def _build_parser() -> _Parser:
         epilog="CSV columns: mu, kappa (inf = Markovian comparator), n_th, e_n, "
         "sigma_sq_abs (absolute squeezed variance; zero-point is 0.5).",
     )
-    _add_common(ng, kappa_default="0.2", nth_list=True)
+    _add_common(ng, "0.2", pump=False)
+    ng.add_argument("--nth", default="0", help="thermal occupancy; comma list allowed")
     ng.add_argument("--mu", default="0.05:40:400", help="drive grid (default 0.05:40:400)")
     ng.add_argument("--markovian-comparator", action="store_true",
                     help="append kappa=inf rows for each occupancy")
@@ -610,7 +607,7 @@ def _build_parser() -> _Parser:
         "report with config echoed.  --dump-traj CSV columns: t, re_A_i, im_A_i, re_A_s, "
         "im_A_s, re_A_P, im_A_P.",
     )
-    _add_common(si, kappa_default="1")
+    _add_common(si, "1", bath=True)
     si.add_argument("--mu", type=float, default=0.0, help="normalized drive (default 0)")
     si.add_argument("--n-traj", dest="n_traj", type=int, default=100,
                     help="trajectory count (default 100)")

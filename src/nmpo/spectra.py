@@ -272,8 +272,8 @@ class VarianceReport:
     sigma_* are normalized to the thermal variance (n_th + 1/2); absolute
     holds the same values in quadrature units where the zero-point variance
     is 1/2.  Divergent entries are reported as inf and flagged, never as a
-    large finite number.  sigma_sq_scan / theta_sq are set when a mixing-
-    angle scan found the soft squeezing direction (rotating frames);
+    large finite number.  sigma_sq_scan / theta_sq are the minimum over the
+    (x+, y-) mixing angle and the angle giving it (rotating phase);
     stderr carries ensemble standard errors for sampled estimates.
     """
 
@@ -300,7 +300,7 @@ class VarianceReport:
         }
 
     def min_sigma(self) -> float:
-        """Smallest normalized variance, using the angle scan when present."""
+        """Smallest normalized variance, using the mixing-angle minimum when present."""
         best = min(v for v in self.normalized().values() if math.isfinite(v))
         if self.sigma_sq_scan is not None:
             best = min(best, self.sigma_sq_scan)
@@ -481,10 +481,9 @@ def variances_u1xz2(
 
     The co-rotating-frame covariance of integrate_variances, including the
     delta-induced (x+, y-) cross-correlation; no compact closed forms exist
-    here.  The
-    soft squeezing direction is found by a 64-point mixing-angle scan over
-    the (x+, y-) plane refined by the exact 2x2 quadratic-form minimum, and
-    reported in sigma_sq_scan / theta_sq.
+    here.  The soft squeezing direction in the (x+, y-) plane is the exact
+    minimum of the 2x2 quadratic form over the mixing angle, reported in
+    sigma_sq_scan / theta_sq.
     """
     if ss is None:
         ss = steady_state(params)
@@ -497,21 +496,12 @@ def variances_u1xz2(
     sxp = report.sigma_x_plus
     sym = report.sigma_y_minus
     c = float(cov[0, 4]) / norm
-    thetas = np.linspace(0.0, math.pi, 64, endpoint=False)
-    scan = (
-        np.cos(thetas) ** 2 * sxp
-        + np.sin(thetas) ** 2 * sym
-        + 2.0 * np.cos(thetas) * np.sin(thetas) * c
-    )
-    k = int(np.argmin(scan))
     half = 0.5 * (sxp + sym)
     diff = 0.5 * (sxp - sym)
     sig_min = half - math.hypot(diff, c)
     # sigma(theta) = half + hypot(diff, c) cos(2 theta - phi0); minimum at
     # 2 theta = phi0 + pi.
     theta = (0.5 * (math.atan2(c, diff) + math.pi)) % math.pi
-    if sig_min > scan[k] + 1e-9 * (abs(scan[k]) + 1e-30):
-        raise NumericsError("angle scan found a lower variance than the quadratic-form minimum")
     values = report.normalized()
     return _make_report(
         values,

@@ -191,6 +191,58 @@ def test_phase_diagram_header_names_the_kappa_it_solved(capsys, argv, kappa_meta
         assert solved == row_kappas
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("negativity", "--mu", "0.5", "--tau-r", "2"),
+        ("variances", "--mu", "0.5,1", "--tau-r", "2"),
+        ("eigenflow", "--mu", "0:2:3", "--tau-r", "2"),
+    ],
+)
+def test_csv_header_names_the_kappa_tau_r_solved(capsys, argv):
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    params_line = next(l for l in out.splitlines() if l.startswith("# params:"))
+    assert " tau_r=2.0 " in params_line
+    assert " kappa=0.5" in params_line and " kappa=1 " not in params_line
+    header, rows = data_rows(out)
+    assert {r[header.index("kappa")] for r in rows} == {"0.5"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("steady-state", "--mu", "0.5"),
+        ("variances", "--mu", "0.5"),
+        ("simulate", "--mu", "0.5", *SIM_FAST, "--n-traj", "2", "--t-burn", "40",
+         "--t-sample", "11", "--record-stride", "10"),
+    ],
+)
+def test_json_meta_names_the_memory_time_given(capsys, argv):
+    rc, out, _ = run(capsys, *argv, "--tau-r", "2")
+    assert rc == 0
+    meta = json.loads(out)["meta"]
+    assert meta["tau_r"] == 2.0
+    assert float(meta["kappa"]) == 0.5
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    assert "tau_r" not in json.loads(out)["meta"]
+
+
+def test_headers_name_only_the_options_taken(capsys):
+    rc, out, _ = run(capsys, "phase-diagram", "--mu", "0.5", "--kappa", "1")
+    assert rc == 0
+    assert "# params: gamma0=1.0 gammaP=100.0 mu=0.5 kappa=1" in out.splitlines()
+    rc, out, _ = run(capsys, "negativity", "--mu", "0.5", "--nth", "0,1")
+    assert rc == 0
+    assert "# params: gamma0=1.0 nth=0,1 mu=0.5 kappa=0.2 comparator=0" in out.splitlines()
+    rc, out, _ = run(capsys, "steady-state", "--mu", "0.5")
+    assert rc == 0
+    assert set(json.loads(out)["meta"]) == {
+        "tool", "version", "command", "gamma0", "gammaP", "mu", "kappa"
+    }
+
+
 def test_eigenflow_metadata_and_rows(capsys):
     rc, out, _ = run(capsys, "eigenflow", "--kappa", "0.5", "--mu", "0:2:5")
     assert rc == 0
@@ -276,6 +328,16 @@ def test_negativity_stays_finite_where_the_variance_underflows(capsys, kappa):
         # closed forms hold for a fast pump only
         (("variances", "--mu", "0.5", "--kappa", "1", "--method", "closed", "--gammaP", "5"),
          "PumpNotFast"),
+        # --gamma0 is checked though the closed forms do not read it
+        (("negativity", "--gamma0", "-1"), "NonPositiveRate"),
+        # options a subcommand does not read
+        *[((command, "--format", "csv"), "ParameterError")
+          for command in ("steady-state", "phase-diagram", "eigenflow", "negativity", "simulate")],
+        *[((command, option, "1"), "ParameterError")
+          for command in ("steady-state", "phase-diagram", "eigenflow")
+          for option in ("--g", "--nth", "--nth-pump")],
+        *[(("negativity", option, "1"), "ParameterError")
+          for option in ("--gammaP", "--g", "--nth-pump")],
     ],
 )
 def test_invalid_grid_points_exit_2_with_their_error_class(capsys, argv, error):

@@ -420,6 +420,25 @@ def test_rotating_variances_angle_scan():
     assert math.isinf(rep.sigma_x_minus) and rep.divergent["x-"]
 
 
+@pytest.mark.parametrize("branch", [1, -1])
+@pytest.mark.parametrize("kappa", [0.1, 0.2, 0.3, 0.45])
+def test_angle_scan_never_finds_a_variance_below_the_exact_minimum(kappa, branch):
+    # sigma(theta) = cos^2 sigma_x+ + sin^2 sigma_y- + 2 cos sin c on a
+    # 64-point mixing-angle grid never falls below the reported 2x2 minimum
+    thetas = np.linspace(0.0, math.pi, 64, endpoint=False)
+    for mu in (2.05 * kappa, 3.0 * kappa, 1.0, 2.0):
+        p = params(mu, kappa, nth=0.4)
+        ss = steady_state(p, z2_branch=branch)
+        assert ss.phase is Phase.U1XZ2
+        rep = variances_u1xz2(p, ss)
+        c = float(rep.covariance[0, 4]) / (p.variance_scale * (p.n_avg + 0.5))
+        scan = (np.cos(thetas) ** 2 * rep.sigma_x_plus + np.sin(thetas) ** 2 * rep.sigma_y_minus
+                + 2.0 * np.cos(thetas) * np.sin(thetas) * c)
+        lowest = float(scan.min())
+        assert rep.sigma_sq_scan <= lowest + 1e-9 * (abs(lowest) + 1e-30), (mu, kappa)
+        assert 0.0 <= rep.theta_sq < math.pi
+
+
 # === logarithmic negativity ===================================================
 
 
