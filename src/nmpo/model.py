@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -89,7 +90,7 @@ class SystemParams:
                 f"gammaP = {self.gammaP} is below {ADIABATIC_PUMP_RATIO}*gamma0; "
                 "adiabatic pump-elimination formulas will be approximate",
                 SlowPumpWarning,
-                stacklevel=2,
+                stacklevel=_caller_level(),
             )
         object.__setattr__(self, "kappa", kappa_of(self.gamma0, self.tau_r))
         object.__setattr__(self, "F_cr", self.gamma0 * self.gammaP / (4.0 * self.g))
@@ -144,6 +145,16 @@ class SystemParams:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SlowPumpWarning)
             return dataclasses.replace(self, **changes)
+
+
+def _caller_level() -> int:
+    """warnings.warn stacklevel, for a call made here, of the first frame
+    outside this module.  The dataclass-generated __init__ runs in this
+    module's globals, so it is skipped with from_kappa and __post_init__."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None and frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def _check_gamma0(gamma0: float) -> None:

@@ -21,18 +21,19 @@ white with per-quadrature variance sP^2 gammaP (n_th_P + 1/2) dt,
 sP^2 = 2 g^2/gamma0^2, and is off below threshold by default.
 
 The step loop holds one stacked complex state x, rows (A_i, A_s, A_P, c_i,
-c_s) with memory and (A_i, A_s, A_P) in the Markovian limit, and the two
-colored forces in f; columns are trajectories ("lanes").  Markovian and
-memory rows, Heun and Euler-Maruyama, share that one loop.  A step
-allocates nothing: the state, the Heun predictor, both drift evaluations,
-the forces and the drift scratch are allocated once, and every elementwise
-operation writes into them through out=.  Each row's noise is drawn BLOCK
-steps at a time from its own generator seeded by its config, in the same
-order as one draw per step.  The next block is handed to one helper thread
-while the loop steps through the current one (the normal fill releases the
-GIL); if the helper has not begun it when the loop gets there, as happens
-when the lanes are too narrow for numpy to release the GIL inside the step
-loop, the loop draws the block itself.  There is no option for it.
+c_s) with memory and (A_i, A_s, A_P) in the Markovian limit, and with
+memory the two colored forces and a constant mu row in f; columns are
+trajectories ("lanes").  Markovian and memory rows, Heun and
+Euler-Maruyama, share that one loop.  A step allocates nothing: the state,
+the Heun predictor, both drift evaluations, the forces and the drift
+scratch are allocated once, and every elementwise operation writes into
+them through out=.  Each row's noise is drawn BLOCK steps at a time from
+its own generator seeded by its config, in the same order as one draw per
+step.  The next block is handed to one helper thread while the loop steps
+through the current one (the normal fill releases the GIL); if the helper
+has not begun it when the loop gets there, as happens when the lanes are
+too narrow for numpy to release the GIL inside the step loop, the loop
+draws the block itself.  There is no option for it.
 Recorded samples go into preallocated buffers.  integrate_ensemble steps
 several rows together, such as the points of a kappa sweep: their lanes
 sit side by side and the per-row values (tau_r, OU decay, noise
@@ -40,6 +41,27 @@ amplitudes) are lane vectors.  integrate_trajectory is the one-row case.
 Every elementwise expression keeps a fixed operand order, so identical
 (seed, config, params) give bit-identical output whether a row runs alone
 or in an ensemble.
+
+A step's cost is set by the number of numpy calls, so rows that share an
+operation share one call: one multiply applies i gamma0 to the damped rows
+and i to the pump row, one add puts f on the damped rows and mu on the pump
+row, and one subtraction takes A_P, c_i, c_s off rows 2-4.  Per element
+these are the same operations as one call per row.  Three further fusions
+rest on identities:
+
+* The final factors 1/2 (A_i, A_s), gammaP/2 (A_P) and 1/tau_r (c_i, c_s)
+  are one multiply of the drift's float64 view by a scale array.  A complex
+  times a real a + 0j gives (r a - i 0, i a + r 0), and numpy divides a
+  complex by tau + 0j as ((r + i 0)(1/tau), (i - r 0)(1/tau)); the added
+  zero leaves a finite nonzero part unchanged, so both equal each part
+  times the factor.  They can differ only in the sign of a zero part or
+  beside an infinite one, which needs an exact zero in the drift or an
+  overflow.
+* Heun's 1/2 (k1 + k2) dt is one multiply by dt/2 instead of two.  Halving
+  is exact, so both round the same product unless a part is subnormal.
+* A row set without white noise skips adding the zero increment.  x + 0.0
+  differs from x only at x = -0.0, and a part of x + k dt is -0.0 only when
+  both terms are; the signed-zero starts of the oracle tests hold it.
 """
 
 from __future__ import annotations
@@ -324,7 +346,6 @@ def _integrate(rows, initials) -> list[Trajectory]:
     edges = np.cumsum([0] + sizes)
     n_lanes = int(edges[-1])
     x = np.concatenate([s.x for s in starts], axis=1)
-    f = f_new = None if markov else np.concatenate([s.f for s in starts], axis=1)
     tau = np.repeat([p.tau_r for p, _ in rows], sizes)
     decay = np.repeat([s.decay for s in starts], sizes)
     # White noise drives A_i, A_s, A_P when Markovian and A_P only with
@@ -333,40 +354,69 @@ def _integrate(rows, initials) -> list[Trajectory]:
     width = 6 if markov or any(s.pumped for s in starts) else 4
     white_noise = noise and width == 6
     # Work buffers, allocated once: x is advanced in place, f and f_new swap.
+    # With memory each force buffer holds f_i, f_s and a constant mu row, so
+    # one add puts f on the damped rows and mu on the pump row.
     p, k1, k2 = np.empty_like(x), np.empty_like(x), np.empty_like(x)
-    f_new = None if markov else np.empty_like(f)
+    if markov:
+        f = f_new = fq = fq_new = None
+    else:
+        f, f_new = np.empty((3, n_lanes), complex), np.empty((3, n_lanes), complex)
+        f[2] = f_new[2] = mu
+        fq, fq_new = f[:2], f_new[:2]
+        fq[:] = np.concatenate([s.f for s in starts], axis=1)
     scratch = np.empty_like(x[:2]) if markov else None
     x_white, p_white = x[white], p[white]
     mul, add, sub = np.multiply, np.add, np.subtract
-    ig0, half_gp = 1j * g0, 0.5 * gp
+    half_dt = 0.5 * dt
+    # i g0 on the damped rows and i on the pump row, applied by one multiply.
+    rotate = np.array([1j * g0, 1j * g0, 1j])[:, None]
+    # The final drift factors per real part: 1/2 on A_i, A_s, gammaP/2 on A_P
+    # and 1/tau_r on c_i, c_s.
+    scale = np.empty_like(x.view(float))
+    scale[:2], scale[2] = 0.5, 0.5 * gp
+    if not markov:
+        scale[3:] = np.repeat(1.0 / tau, 2)
 
-    def drift(x, f, d):
-        """Write the drift at (x, f) into d, one ufunc per operation."""
-        dq, dp = d[:2], d[2]
-        np.conj(x[1::-1], out=dq)
+    def drift_into(x, d):
+        """The drift at (x, f) as a function of f that writes into d.
+
+        The views of x and d are built here once, not on every call.  Each
+        call is one ufunc per operation, rows sharing an operation sharing
+        the call, and ends in one multiply by the scale array: exact by the
+        identities in the module docstring.
+        """
+        x_swap, xq, xp, x0, x1, xc, x_tail = x[1::-1], x[:2], x[2], x[0], x[1], x[3:], x[2:]
+        dq, dp, dc, d_top, d_tail, d_flat = d[:2], d[2], d[3:], d[:3], d[2:], d.view(float)
+
         if markov:
-            # 0.5 (-g0 A + 1j g0 conj(A_swapped) A_P)
-            mul(ig0, dq, out=dq)
-            mul(dq, x[2], out=dq)
-            mul(-g0, x[:2], out=scratch)
-            add(scratch, dq, out=dq)
+            def drift(f):
+                # 1/2 (-g0 A + i g0 conj(A_swapped) A_P), gP/2 (-A_P + i (A_i A_s + mu))
+                np.conj(x_swap, out=dq)
+                mul(x0, x1, out=dp)
+                add(dp, mu, out=dp)
+                mul(rotate, d_top, out=d_top)
+                mul(dq, xp, out=dq)
+                mul(-g0, xq, out=scratch)
+                add(scratch, dq, out=dq)
+                sub(dp, xp, out=dp)
+                mul(d_flat, scale, out=d_flat)
         else:
-            # 0.5 (-c + 1j g0 (conj(A_swapped) A_P + f)) and (g0 A - c) / tau
-            mul(dq, x[2], out=dq)
-            add(dq, f, out=dq)
-            mul(ig0, dq, out=dq)
-            sub(dq, x[3:], out=dq)
-            dc = d[3:]
-            mul(g0, x[:2], out=dc)
-            sub(dc, x[3:], out=dc)
-            np.divide(dc, tau, out=dc)
-        mul(0.5, dq, out=dq)
-        # 0.5 gP (-A_P + 1j (A_i A_s + mu))
-        mul(x[0], x[1], out=dp)
-        add(dp, mu, out=dp)
-        mul(1j, dp, out=dp)
-        sub(dp, x[2], out=dp)
-        mul(half_gp, dp, out=dp)
+            def drift(f):
+                # 1/2 (-c + i g0 (conj(A_swapped) A_P + f)), gP/2 (-A_P + i (A_i A_s + mu))
+                # and (g0 A - c) / tau
+                np.conj(x_swap, out=dq)
+                mul(dq, xp, out=dq)
+                mul(x0, x1, out=dp)
+                add(d_top, f, out=d_top)
+                mul(rotate, d_top, out=d_top)
+                sub(dq, xc, out=dq)
+                mul(g0, xq, out=dc)
+                sub(d_tail, x_tail, out=d_tail)
+                mul(d_flat, scale, out=d_flat)
+
+        return drift
+
+    drift_x, drift_p = drift_into(x, k1), drift_into(p, k2)
 
     # Noise: each row draws its standard normals at its own width (6 when
     # Markovian or pumped, else 4) into its own buffer, in the order of one
@@ -428,25 +478,27 @@ def _integrate(rows, initials) -> list[Trajectory]:
                 if step + BLOCK < total:
                     pending = pool.submit(fill, b + 1)
             if not markov:
-                mul(f, decay, out=f_new)
+                mul(fq, decay, out=fq_new)
                 if noise:
-                    add(f_new, increments[j, :2], out=f_new)
-            dW = increments[j, white] if white_noise else 0.0
-            drift(x, f, k1)
+                    add(fq_new, increments[j, :2], out=fq_new)
+            if white_noise:
+                dW = increments[j, white]
+            drift_x(f)
             if heun:
                 mul(k1, dt, out=p)
                 add(x, p, out=p)
-                add(p_white, dW, out=p_white)
-                drift(p, f_new, k2)
+                if white_noise:
+                    add(p_white, dW, out=p_white)
+                drift_p(f_new)
                 add(k1, k2, out=k2)
-                mul(0.5, k2, out=k2)
-                mul(k2, dt, out=k2)
+                mul(k2, half_dt, out=k2)
                 add(x, k2, out=x)
             else:
                 mul(k1, dt, out=k1)
                 add(x, k1, out=x)
-            add(x_white, dW, out=x_white)
-            f, f_new = f_new, f
+            if white_noise:
+                add(x_white, dW, out=x_white)
+            f, f_new, fq, fq_new = f_new, f, fq_new, fq
 
             if (step + 1) % _OVERFLOW_CHECK == 0 or step == total - 1:
                 finite = np.isfinite(x[0].real) & np.isfinite(x[2].real)

@@ -81,8 +81,12 @@ def test_slow_pump_rejected():
 
 
 def test_marginal_pump_warns():
-    with pytest.warns(SlowPumpWarning):
-        SystemParams(gamma0=1.0, gammaP=20.0, tau_r=1.0, g=0.01, mu=0.0)
+    # The warning names the caller's file, not the dataclass-generated
+    # __init__ or model.py, whichever constructor is used.
+    for build in (SystemParams, SystemParams.from_kappa):
+        with pytest.warns(SlowPumpWarning) as record:
+            build(1.0, 20.0, 1.0, 0.01, 0.0)
+        assert [w.filename for w in record] == [__file__]
 
 
 @pytest.mark.parametrize("gamma0, tau_r", [(1.0, 1e-320), (1.0, 5e-324), (1e-200, 1e-200)])

@@ -412,6 +412,9 @@ def test_welch_spectrum_matches_linear_theory():
 ORACLE_BASE = dict(dt=0.0075, t_burn=15.4, t_sample=1.03, n_traj=3, seed=3, record_stride=3)
 
 
+NEG_ZERO = complex(-0.0, -0.0)
+
+
 def oracle_params(mu, kappa, nth=0.3):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SlowPumpWarning)
@@ -420,12 +423,14 @@ def oracle_params(mu, kappa, nth=0.3):
 
 
 def assert_same_records(got, want):
+    # Bytes, not values: np.array_equal counts -0.0 equal to +0.0.
     for name in ("t",) + RECORDABLE:
         a, b = getattr(got, name), getattr(want, name)
         assert (a is None) == (b is None), name
         if a is not None:
             assert a.shape == b.shape and a.dtype == b.dtype, name
-            assert np.array_equal(a, b), name
+            assert np.array_equal(np.ascontiguousarray(a).view(np.uint8),
+                                  np.ascontiguousarray(b).view(np.uint8)), name
 
 
 @pytest.mark.parametrize(
@@ -444,6 +449,13 @@ def assert_same_records(got, want):
         (2.0, math.inf, dict(scheme="euler-maruyama"), None),
         (2.0, math.inf, dict(pump_noise=False, n_traj=1, record_stride=1), None),
         (0.5, math.inf, dict(noise=False), {"A_P": 0.4j}),
+        # signed zeros on rows without white noise, whose zero-noise add is skipped:
+        # an unpumped memory row, and a Markovian row whose first two lanes stay
+        # at the zero fixed point
+        (0.5, 1.0, dict(pump_noise=False, record_fields=RECORDABLE),
+         {"A_P": NEG_ZERO, "c_i": NEG_ZERO, "f_s": NEG_ZERO}),
+        (0.5, math.inf, dict(noise=False, record_stride=1),
+         {"A_i": NEG_ZERO, "A_s": np.array([NEG_ZERO, -0.0, 0.1]), "A_P": NEG_ZERO}),
     ],
 )
 def test_integrator_is_bit_identical_to_the_oracle(mu, kappa, cfg, initial):
