@@ -17,11 +17,12 @@ import itertools
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
 from . import __version__
-from .errors import InsufficientSamples, NumericsError, ParameterError, located
+from .errors import InsufficientSamples, NumericsError, ParameterError, SlowPumpWarning, located
 from .linres import build_embedded_matrix, eigenflow_sweep, eigenspectrum
 from .meanfield import (
     _BASE,
@@ -33,7 +34,7 @@ from .meanfield import (
     steady_state,
     steady_state_residual,
 )
-from .model import SystemParams, _check_gamma0, kappa_of
+from .model import ADIABATIC_PUMP_RATIO, SystemParams, _check_gamma0, kappa_of
 from .sde import (
     SimConfig,
     estimate_order_parameters,
@@ -412,6 +413,9 @@ def _cmd_simulate(args) -> int:
     kappa_values = _kappa_values(args)
     single = kappa_values.size == 1
 
+    # The estimators read A_i and A_s; A_P is recorded only for the dump.
+    fields = ("A_i", "A_s", "A_P") if args.dump_traj else ("A_i", "A_s")
+
     def config_for(p: SystemParams, seed: int) -> SimConfig:
         fastest, slowest = p.timescales
         dt = args.dt if args.dt is not None else fastest / 25.0
@@ -424,7 +428,7 @@ def _cmd_simulate(args) -> int:
             seed=seed,
             scheme=args.scheme,
             record_stride=args.record_stride,
-            record_fields=("A_i", "A_s", "A_P"),
+            record_fields=fields,
             noise=not args.no_noise,
         )
 
@@ -638,11 +642,36 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _run(args) -> int:
+    """args.func(args), with the model's SlowPumpWarning shown once per
+    command as one plain stderr line naming the options."""
+    show = warnings.showwarning
+    noted = False
+
+    def note(message, category, *rest):
+        nonlocal noted
+        if not issubclass(category, SlowPumpWarning):
+            return show(message, category, *rest)
+        if not noted:
+            noted = True
+            print(
+                f"nmpo {args.subcommand}: warning: --gammaP {args.gammaP} is below "
+                f"{ADIABATIC_PUMP_RATIO:g} x --gamma0 {args.gamma0}; adiabatic "
+                "pump-elimination formulas will be approximate",
+                file=sys.stderr,
+            )
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", SlowPumpWarning)
+        warnings.showwarning = note
+        return args.func(args)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return _run(args)
     except ParameterError as exc:
         diag = {"error": type(exc).__name__, "violations": exc.violations, "detail": str(exc)}
         print(json.dumps(diag, sort_keys=True), file=sys.stderr)

@@ -39,6 +39,7 @@ from .meanfield import (
     SteadyRow,
     SteadyState,
     _BASE,
+    _GOLDSTONE_TOL,
     _broken,
     _run_row,
     check_grid,
@@ -151,6 +152,16 @@ def _generators(params: SystemParams, row: SteadyRow) -> np.ndarray:
     h = g0 * pump.imag / 2.0
     gc = g0 * row.amp_signal / math.sqrt(2.0)
     gpc = gp * row.amp_signal / math.sqrt(2.0)
+    # The eigen-solve resolves eigenvalues to about eps times the largest
+    # coupling, gammaP |A| / sqrt(2), which grows as sqrt(mu).  Past the
+    # gauge-mode tolerance the margin is rounding, not physics.
+    floor = np.finfo(float).eps * gpc
+    if (floor > _GOLDSTONE_TOL * g0).any():
+        first = np.atleast_1d(floor)[np.argmax(floor > _GOLDSTONE_TOL * g0)]
+        raise EigensolverFailure(
+            f"drive too large to resolve the spectrum: rounding {first:.1e} exceeds "
+            f"{_GOLDSTONE_TOL:.0e} gamma0"
+        )
     dlt = row.rot
     vals = [-h, h, h, -h, gc, gc, -gpc, -gpc, -dlt, -dlt, dlt, dlt]
     if params.markovian:

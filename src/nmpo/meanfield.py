@@ -215,8 +215,11 @@ def row_residuals(params: SystemParams, row: SteadyRow) -> np.ndarray:
     res_s = 0.5 * (-g_s * a_s + 1j * g0 * np.conj(a_i) * a_p) + 1j * rot * a_s
     res_p = 0.5 * (-gp * a_p + 1j * gp * (a_i * a_s + mu))
     # hypot is the modulus Python takes; numpy's complex abs may differ.
+    # The pump terms grow with the drive, so their residual is taken
+    # relative to gammaP max(1, mu).
     out = np.hypot(res_i.real, res_i.imag) / g0
-    for r in (np.hypot(res_s.real, res_s.imag) / g0, np.hypot(res_p.real, res_p.imag) / gp):
+    pump_scale = gp * np.maximum(1.0, mu)
+    for r in (np.hypot(res_s.real, res_s.imag) / g0, np.hypot(res_p.real, res_p.imag) / pump_scale):
         out = np.where(r > out, r, out)  # max() as Python takes it, NaN included
     return out
 
@@ -225,8 +228,9 @@ def steady_state_residual(params: SystemParams, ss: SteadyState) -> float:
     """Stationarity defect of ss under the amplitude equations.
 
     Signal/idler residuals are normalized by gamma0, the pump residual by
-    gammaP, so the value is scale-free.  Exact solutions sit at rounding
-    error (< 1e-10).
+    gammaP max(1, mu), the size of its terms, so the value is scale-free
+    and a large drive is not rejected for the rounding of mu + A_i A_s.
+    Exact solutions sit at rounding error (< 1e-10).
     """
     return float(row_residuals(params, SteadyRow.of(params, ss)))
 

@@ -548,6 +548,32 @@ def _check_amplitudes(tr: Trajectory) -> None:
             raise InsufficientSamples(f"trajectory is missing recorded field {name!r}")
 
 
+def _unwrap(p: np.ndarray) -> np.ndarray:
+    """np.unwrap(p, axis=0), bit for bit, with less work and memory.
+
+    numpy maps every difference d = p[k+1] - p[k] to mod(d + pi, 2 pi) - pi
+    (pi where that lands on -pi with d > 0), takes the correction to d and
+    then zeroes it wherever |d| < pi.  Here that mod and boundary rule run
+    only on the jumps ~(|d| < pi), NaN included; the correction elsewhere is
+    an exact zero, as numpy's is.  The differences, their cumulative sum and
+    the final add share the output's rows 1:, so the work holds the output
+    and one |d| plane, not numpy's six.
+    """
+    up = np.empty_like(p)
+    d = up[1:]
+    np.subtract(p[1:], p[:-1], out=d)
+    jump = ~(np.abs(d) < np.pi)
+    dj = d[jump]
+    dmod = np.mod(dj + np.pi, 2 * np.pi) - np.pi
+    np.copyto(dmod, np.pi, where=(dmod == -np.pi) & (dj > 0))
+    d.fill(0.0)
+    d[jump] = dmod - dj
+    np.cumsum(d, axis=0, out=d)
+    np.add(p[1:], d, out=d)
+    up[:1] = p[:1]
+    return up
+
+
 def estimate_order_parameters(tr: Trajectory, window: float | None = None) -> OrderParameterEstimate:
     """Order parameters from sampled trajectories.
 
@@ -574,8 +600,8 @@ def estimate_order_parameters(tr: Trajectory, window: float | None = None) -> Or
     amp_mean = float(amp_per_traj.mean())
     amp_se = float(amp_per_traj.std(ddof=1) / math.sqrt(n_traj))
 
-    angle = np.angle(tr.A_i)
-    slopes = np.polyfit(tr.t, np.unwrap(angle, axis=0), 1)[0]
+    phi = np.angle(tr.A_i)
+    slopes = np.polyfit(tr.t, _unwrap(phi), 1)[0]
     mags = np.abs(slopes)
     mean_mag = float(mags.mean())
     locked = mean_mag > 0 and float(mags.min()) > 0.5 * mean_mag
@@ -586,16 +612,17 @@ def estimate_order_parameters(tr: Trajectory, window: float | None = None) -> Or
         delta_est = abs(float(slopes.mean()))
         delta_se = float(slopes.std(ddof=1) / math.sqrt(n_traj))
 
-    angle -= np.angle(tr.A_s)
-    phi_d = np.unwrap(angle, axis=0)
+    phi -= np.angle(tr.A_s)
+    phi = _unwrap(phi)  # the difference phase
     m = int(round(window / dt_rec))
     if m < 1 or n_samples <= 2 * m:
         raise InsufficientSamples(
             f"smoothing window {window} needs more than {2 * m} samples at cadence {dt_rec}"
         )
-    rates = (phi_d[m:] - phi_d[:-m]) / (m * dt_rec)
-    rates = rates - rates.mean(axis=0, keepdims=True)
-    v_per_traj = (rates**2).mean(axis=0)
+    rates = phi[m:] - phi[:-m]
+    rates /= m * dt_rec
+    rates -= rates.mean(axis=0, keepdims=True)
+    v_per_traj = np.square(rates, out=rates).mean(axis=0)
     var_phi_dot = float(v_per_traj.mean())
     var_se = float(v_per_traj.std(ddof=1) / math.sqrt(n_traj))
 
@@ -636,45 +663,42 @@ def estimate_quadrature_variances(tr: Trajectory, frame: str = "static") -> Vari
             f"need >= 2 trajectories and >= 32 samples, got {n_traj} x {n_samples}"
         )
     ss = steady_state(params)
-    A_i = tr.A_i
-    A_s = tr.A_s
-    if ss.phase is Phase.DISORDERED:
-        d_i, d_s = A_i, A_s
-    else:
+    A_i, A_s = tr.A_i, tr.A_s
+    if ss.phase is not Phase.DISORDERED:
         if ss.phase is Phase.U1XZ2 and frame == "corotating":
-            phi_d = np.unwrap(np.angle(A_i) - np.angle(A_s), axis=0)
-            branch = np.sign(np.polyfit(tr.t, phi_d, 1)[0])
+            branch = np.sign(np.polyfit(tr.t, _unwrap(np.angle(A_i) - np.angle(A_s)), 1)[0])
             branch[branch == 0] = 1.0
             rot = np.exp(-1j * ss.delta * np.outer(tr.t, branch))
             A_i = A_i * rot
+            # numpy reuses np.conj's temporary as this product's output, and a
+            # complex product written over one of its inputs can round apart
+            # from one written to a fresh array: keep this form, and the bits.
             A_s = A_s * np.conj(rot)
         # Gauge angle per trajectory from the circular mean of the
         # difference phase, then fluctuations about the phi = 0 mean field.
         phi_hat = np.angle(np.exp(1j * (np.angle(A_i) - np.angle(A_s))).mean(axis=0))
         A_i = A_i * np.exp(-0.5j * phi_hat)[None, :]
         A_s = A_s * np.exp(+0.5j * phi_hat)[None, :]
-        d_i = A_i - 1j * ss.amp_signal
-        d_s = A_s - 1j * ss.amp_signal
+        A_i -= 1j * ss.amp_signal
+        A_s -= 1j * ss.amp_signal
 
-    quads = {
-        "x+": (d_i.real + d_s.real) / math.sqrt(2.0),
-        "x-": (d_i.real - d_s.real) / math.sqrt(2.0),
-        "y+": (d_i.imag + d_s.imag) / math.sqrt(2.0),
-        "y-": (d_i.imag - d_s.imag) / math.sqrt(2.0),
-    }
     norm = params.variance_scale * (params.n_avg + 0.5)
     soft = {"x-"} if ss.phase is not Phase.DISORDERED else set()
+    parts = {"x": (A_i.real, A_s.real), "y": (A_i.imag, A_s.imag)}
+    combine = {"+": np.add, "-": np.subtract}
 
     values, stderr = {}, {}
     half = n_samples // 2
-    for lab, q in quads.items():
+    for lab in ("x+", "x-", "y+", "y-"):
+        if lab in soft:
+            values[lab] = stderr[lab] = math.inf
+            continue
+        # One quadrature plane at a time, (a +- b) / sqrt(2) divided in place.
+        q = combine[lab[1]](*parts[lab[0]])
+        q /= math.sqrt(2.0)
         v_traj = q.var(axis=0)
         val = float(v_traj.mean()) / norm
         se = float(v_traj.std(ddof=1) / math.sqrt(n_traj)) / norm
-        if lab in soft:
-            values[lab] = math.inf
-            stderr[lab] = math.inf
-            continue
         v1 = q[:half].var(axis=0)
         v2 = q[half:].var(axis=0)
         m1, m2 = v1.mean() / norm, v2.mean() / norm

@@ -83,7 +83,7 @@ def steady_state_residual(params: SystemParams, ss: SteadyState) -> float:
     res_i = 0.5 * (-g_i * a_i + 1j * g0 * np.conj(a_s) * a_p) - 1j * rot * a_i
     res_s = 0.5 * (-g_s * a_s + 1j * g0 * np.conj(a_i) * a_p) + 1j * rot * a_s
     res_p = 0.5 * (-gp * a_p + 1j * gp * (a_i * a_s + mu))
-    return max(abs(res_i) / g0, abs(res_s) / g0, abs(res_p) / gp)
+    return max(abs(res_i) / g0, abs(res_s) / g0, abs(res_p) / (gp * max(1.0, mu)))
 
 
 def build_embedded_matrix(params: SystemParams, ss: SteadyState) -> EmbeddedMatrix:

@@ -2,12 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import pytest
 
 import sde_oracle
+import nmpo
 from nmpo import cli
 from nmpo.cli import main
+from nmpo.sde import integrate_trajectory
 
 SIM_FAST = ["--gammaP", "20", "--dt", "0.005"]
 
@@ -16,6 +22,17 @@ def run(capsys, *argv):
     rc = main(list(argv))
     cap = capsys.readouterr()
     return rc, cap.out, cap.err
+
+
+SLOW_PUMP = "warning: --gammaP 20.0 is below 100 x --gamma0 1.0;"
+
+
+def diagnostic(err):
+    """The JSON diagnostic on stderr's last line; a run below --gammaP 100
+    may put the one slow-pump notice before it, and nothing else."""
+    *notes, last = err.splitlines()
+    assert len(notes) <= 1 and all(SLOW_PUMP in line for line in notes)
+    return json.loads(last)
 
 
 def data_rows(text):
@@ -447,18 +464,22 @@ def test_memory_time_whose_kappa_overflows_is_named(capsys):
 
 
 def test_failing_grid_points_are_named(capsys):
-    rc, out, err = run(capsys, "phase-diagram", "--mu", "0,1e10,1e12", "--kappa", "0.2,1")
+    # At mu = 1e30, kappa = 1e-5 the rotating state misses the signal
+    # residual by rounding alone, and eigenflow's first family there is past
+    # the spectrum's resolution; mu = 1e10 passes since the pump residual is
+    # taken relative to the drive.
+    rc, out, err = run(capsys, "phase-diagram", "--mu", "0,1e10,1e30", "--kappa", "1e-5,1")
     assert (rc, out) == (3, "")
     assert json.loads(err) == {
         "error": "InconsistentSteadyState",
-        "detail": "phase diagram point (i=1, j=0) mu=10000000000.0, kappa=0.2: "
-        "stationarity residual 1.907e-07 exceeds 1e-08",
+        "detail": "phase diagram point (i=2, j=0) mu=1e+30, kappa=1e-05: "
+        "stationarity residual 9.766e-04 exceeds 1e-08",
     }
-    rc, out, err = run(capsys, "eigenflow", "--mu", "0,1e10", "--kappa", "1")
+    rc, out, err = run(capsys, "eigenflow", "--mu", "0,1e30", "--kappa", "1e-5")
     assert (rc, out) == (3, "")
     assert json.loads(err)["detail"] == (
-        "eigenflow point (i=1) mu=10000000000.0, kappa=1.0: "
-        "stationarity residual 9.537e-07 exceeds 1e-08"
+        "eigenflow point (i=1) mu=1e+30, kappa=1e-05: "
+        "drive too large to resolve the spectrum: rounding 1.6e+01 exceeds 1e-06 gamma0"
     )
 
 
@@ -571,11 +592,75 @@ def test_simulate_sweep_rows(capsys):
     assert [r[0] for r in rows] == ["0.5", "1"]
 
 
+def test_simulate_records_the_pump_only_for_the_dump(capsys, monkeypatch, tmp_path):
+    recorded = []
+
+    def integrate(p, cfg):
+        recorded.append(cfg.record_fields)
+        return integrate_trajectory(p, cfg)
+
+    monkeypatch.setattr(cli, "integrate_trajectory", integrate)
+    argv = ["simulate", "--mu", "0.5", "--kappa", "1", *SIM_FAST, "--n-traj", "4",
+            "--t-sample", "30"]
+    rc, plain, _ = run(capsys, *argv)
+    assert rc == 0
+    dump = tmp_path / "traj.csv"
+    rc, dumped, _ = run(capsys, *argv, "--dump-traj", str(dump))
+    assert rc == 0
+    assert recorded == [("A_i", "A_s"), ("A_i", "A_s", "A_P")]
+    assert plain == dumped
+    assert "re_A_P,im_A_P" in dump.read_text()
+
+
+def test_slow_pump_is_one_plain_line_naming_the_option(capsys):
+    notice = ("nmpo simulate: warning: --gammaP 20.0 is below 100 x --gamma0 1.0; "
+              "adiabatic pump-elimination formulas will be approximate")
+    argv = ["simulate", "--mu", "2", "--kappa", "1.5,1", *SIM_FAST, "--t-burn", "20",
+            "--t-sample", "11", "--n-traj", "4", "--record-stride", "10"]
+    for _ in range(2):  # once per command, not once per process or per row
+        rc, _, err = run(capsys, *argv)
+        assert (rc, err.splitlines()) == (0, [notice])
+    rc, _, err = run(capsys, "variances", "--mu", "0.5,2", "--kappa", "1", "--gammaP", "20",
+                     "--method", "integrate")
+    assert (rc, err.splitlines()) == (0, [notice.replace("simulate", "variances")])
+    rc, _, err = run(capsys, "phase-diagram", "--mu", "0.5", "--kappa", "1")
+    assert (rc, err) == (0, "")
+
+
+def test_other_warnings_pass_through(capsys, monkeypatch):
+    def warns(*args, **kwargs):
+        warnings.warn("not about the pump", UserWarning)
+        return []
+
+    monkeypatch.setattr(cli, "phase_diagram", warns)
+    with pytest.warns(UserWarning, match="not about the pump"):
+        rc, _, err = run(capsys, "phase-diagram", "--mu", "0.5", "--gammaP", "20")
+    assert rc == 0 and "not about the pump" not in err
+
+
+def test_slow_pump_notice_replaces_the_python_warning():
+    code = "import nmpo.cli; nmpo.cli.main(['phase-diagram', '--mu', '0.5', '--gammaP', '20'])"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nmpo.__file__)))
+    err = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stderr
+    assert err.splitlines() == [
+        "nmpo phase-diagram: warning: --gammaP 20.0 is below 100 x --gamma0 1.0; "
+        "adiabatic pump-elimination formulas will be approximate"
+    ]
+
+
+def test_large_drive_phase_diagram_exits_0(capsys):
+    rc, out, _ = run(capsys, "phase-diagram", "--mu", "3e8,1e9,1e12", "--kappa", "0.2,1,inf")
+    assert rc == 0
+    _, rows = data_rows(out)
+    assert [r[2] for r in rows] == ["u1xz2"] * 3 + ["u1"] * 6
+
+
 def test_simulate_overflow_exit_code(capsys):
     rc, _, err = run(capsys, "simulate", "--mu", "2000", "--kappa", "1", *SIM_FAST,
                      "--no-noise", "--n-traj", "2", "--t-sample", "60")
     assert rc == 3
-    assert json.loads(err)["error"] == "StepOverflow"
+    assert diagnostic(err)["error"] == "StepOverflow"
 
 
 def test_simulate_sweep_equals_per_row_oracle_runs(capsys, monkeypatch):
@@ -612,7 +697,7 @@ def test_simulate_checks_every_row_before_integrating(capsys, monkeypatch, kappa
     monkeypatch.setattr(cli, "integrate_ensemble", integrated)
     rc, _, err = run(capsys, "simulate", "--mu", "0.5", "--kappa", kappa, *SIM_FAST, *extra)
     assert rc == 2
-    diag = json.loads(err)
+    diag = diagnostic(err)
     assert diag["error"] == error
     assert diag["violations"]
 
@@ -640,7 +725,7 @@ def test_scalar_only_options_are_checked_before_any_work(
     extra = ("--mu", "0.5", *SIM_FAST) if argv[0] == "simulate" else ()
     rc, out, err = run(capsys, *argv, *extra)
     assert (rc, out) == (2, "")
-    diag = json.loads(err)
+    diag = diagnostic(err)
     assert diag["error"] == "ParameterError"
     assert [f for f, _ in diag["violations"]] == [field]
     assert not (tmp_path / "d.csv").exists()

@@ -1,12 +1,19 @@
 """Steady states, phase classification, and the phase diagram."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from nmpo.errors import OutOfRegime, ParameterError
+from nmpo.errors import (
+    EigensolverFailure,
+    InconsistentSteadyState,
+    OutOfRegime,
+    ParameterError,
+)
+from nmpo.linres import RESIDUAL_TOL, build_embedded_matrix
 from nmpo.meanfield import (
     Phase,
     classify_phase,
@@ -173,6 +180,44 @@ def test_residual_detects_wrong_state():
     p = params(0.5, 1.0)
     wrong = steady_state(p.replace(mu=0.9))
     assert steady_state_residual(p, wrong) > 1e-3
+
+
+# Drives far above threshold, each family that exists there: the pump
+# residual is taken relative to gammaP max(1, mu), so rounding of the drive
+# does not reject them.
+LARGE_DRIVES = [3e8, 1e9, 1e12]
+FAMILIES = [(1.0, Phase.DISORDERED), (1.0, Phase.U1), (math.inf, Phase.U1),
+            (0.2, Phase.DISORDERED), (0.2, Phase.U1XZ2)]
+
+
+@pytest.mark.parametrize("mu", LARGE_DRIVES)
+@pytest.mark.parametrize("kappa,phase", FAMILIES)
+def test_large_drives_pass_the_residual_check(mu, kappa, phase):
+    p = params(mu, kappa)
+    ss = steady_state_branch(p, phase)
+    assert steady_state_residual(p, ss) <= RESIDUAL_TOL
+    build_embedded_matrix(p, ss)
+
+
+@pytest.mark.parametrize("mu", LARGE_DRIVES)
+@pytest.mark.parametrize("kappa,phase", FAMILIES)
+def test_residual_check_rejects_an_amplitude_off_by_a_millionth(mu, kappa, phase):
+    p = params(mu, kappa)
+    ss = steady_state_branch(p, phase)
+    fields = ("pump_amp",) if phase is Phase.DISORDERED else ("amp_signal", "pump_amp")
+    for name in fields:
+        off = dataclasses.replace(ss, **{name: getattr(ss, name) * (1 + 1e-6)})
+        assert steady_state_residual(p, off) > RESIDUAL_TOL
+        with pytest.raises(InconsistentSteadyState, match="stationarity residual"):
+            build_embedded_matrix(p, off)
+
+
+@pytest.mark.parametrize("kappa", [0.2, 1.0, math.inf])
+def test_drives_past_spectral_resolution_are_refused(kappa):
+    # At mu = 1e24 the eigen-solve rounds the pump coupling gammaP |A| / sqrt(2)
+    # to about 1.6e-2: the rotating margin came out as -1.9e-5 for -0.1.
+    with pytest.raises(EigensolverFailure, match="drive too large to resolve the spectrum"):
+        phase_diagram([1e24], [kappa])
 
 
 # === phase diagram ============================================================

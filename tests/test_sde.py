@@ -1,15 +1,21 @@
 """Stochastic integrator, noise process, and trajectory estimators."""
 
+import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.signal import welch
 
+import estimator_oracle
 import sde_oracle
 from nmpo import sde
 from nmpo.errors import (
@@ -26,6 +32,8 @@ from nmpo.sde import (
     BLOCK,
     RECORDABLE,
     SimConfig,
+    Trajectory,
+    _unwrap,
     estimate_order_parameters,
     estimate_quadrature_variances,
     integrate_ensemble,
@@ -623,3 +631,97 @@ def test_ensemble_rejects_rows_that_cannot_share_steps():
     assert lockstep_key(*mixed[0]) != lockstep_key(*mixed[1])
     with pytest.raises(ParameterError):
         integrate_ensemble(mixed)
+
+
+# === estimators against the frozen oracle =====================================
+
+
+def _bits(value):
+    """A value with every float as its type and IEEE bytes, so -0.0 != 0.0."""
+    if dataclasses.is_dataclass(value):
+        return [(f.name, _bits(getattr(value, f.name))) for f in dataclasses.fields(value)]
+    if isinstance(value, dict):
+        return [(k, _bits(v)) for k, v in value.items()]
+    if isinstance(value, (float, np.floating)):
+        return type(value).__name__, np.float64(value).tobytes()
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return repr(value)
+
+
+def _outcome(estimate, *args):
+    try:
+        return _bits(estimate(*args))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize(
+    "mu, kappa, t_burn, initial",
+    [
+        (0.5, 1.0, 40.0, None),  # disordered
+        (2.0, 1.0, 40.0, None),  # u1
+        (1.0, 0.2, 120.0, None),  # u1xz2
+        (0.95, 1.0, 20.0, {"A_i": 1.0}),  # a transient: NonStationary
+    ],
+)
+def test_estimators_are_bit_identical_to_the_oracle(mu, kappa, t_burn, initial):
+    cfg = config(t_burn=t_burn, t_sample=30.0, n_traj=8, record_stride=2, seed=41)
+    tr = integrate_trajectory(params(mu, kappa), cfg, initial=initial)
+    for window in (None, 2.0):
+        got = _outcome(estimate_order_parameters, tr, window)
+        assert got == _outcome(estimator_oracle.estimate_order_parameters, tr, window)
+    for frame in ("static", "corotating"):
+        got = _outcome(estimate_quadrature_variances, tr, frame)
+        assert got == _outcome(estimator_oracle.estimate_quadrature_variances, tr, frame)
+
+
+PHASE_VALUES = st.sampled_from(
+    [0.0, -0.0, math.pi, -math.pi, 3 * math.pi, -3 * math.pi, 2 * math.pi, 0.5 * math.pi,
+     math.nan, math.inf, -math.inf]
+)
+PHASES = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=12),
+    elements=st.floats(-20.0, 20.0) | st.floats() | PHASE_VALUES,
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(PHASES)
+@example(np.array([[0.0, 1.0]]))  # one row
+@example(np.array([0.0, math.pi, 0.0, -math.pi, 2 * math.pi, -math.pi]))  # jumps of exactly pi
+@example(np.array([[0.0], [3 * math.pi], [-3 * math.pi], [math.nan], [0.0], [math.inf], [1.0]]))
+def test_unwrap_is_numpy_unwrap_bit_for_bit(p):
+    got, want = _unwrap(p), np.unwrap(p, axis=0)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def _peak_planes(estimate, tr, plane):
+    """Peak memory an estimator allocates beyond its input, in planes."""
+    tracemalloc.start()
+    try:
+        estimate(tr)
+        return tracemalloc.get_traced_memory()[1] / plane
+    finally:
+        tracemalloc.stop()
+
+
+def test_estimators_hold_few_planes_at_once():
+    # A disordered ensemble of uncorrelated samples: the phases jump at
+    # about every other sample, the most work the unwrap can be given.
+    n_samples, n_traj = 2000, 200
+    rng = np.random.default_rng(5)
+    A_i, A_s = (
+        (rng.standard_normal((n_samples, n_traj)) + 1j * rng.standard_normal((n_samples, n_traj)))
+        * 0.01
+        for _ in range(2)
+    )
+    p = params(0.5, 1.0)
+    tr = Trajectory(t=np.arange(1, n_samples + 1) * 0.02, A_i=A_i, A_s=A_s, A_P=None,
+                    c_i=None, c_s=None, f_i=None, f_s=None, params=p,
+                    config=config(t_sample=n_samples * 0.02, n_traj=n_traj))
+    plane = n_samples * n_traj * 8
+    assert _peak_planes(estimate_order_parameters, tr, plane) <= 4.0
+    assert _peak_planes(estimate_quadrature_variances, tr, plane) <= 3.0
