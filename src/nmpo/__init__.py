@@ -65,7 +65,6 @@ from .spectra import (
     NegativityResult,
     SpectralData,
     VarianceReport,
-    diffusion_matrix,
     integrate_variances,
     log_negativity,
     negativity_map,
@@ -100,10 +99,9 @@ __all__ = [
     "row_spectra",
     # spectra
     "SpectralData", "VarianceReport", "NegativityResult", "susceptibility_at",
-    "diffusion_matrix", "psd", "integrate_variances",
-    "variances_below_threshold", "variances_above_threshold_u1",
-    "variances_u1xz2", "log_negativity", "negativity_map",
-    "negativity_occupancy_sweep",
+    "psd", "integrate_variances", "variances_below_threshold",
+    "variances_above_threshold_u1", "variances_u1xz2", "log_negativity",
+    "negativity_map", "negativity_occupancy_sweep",
     # sde
     "SimConfig", "Trajectory", "OrderParameterEstimate",
     "integrate_trajectory", "integrate_ensemble", "lockstep_key",

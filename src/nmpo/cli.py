@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .errors import InsufficientSamples, NumericsError, ParameterError, SlowPumpWarning, located
+from .errors import NumericsError, ParameterError, SlowPumpWarning, located
 from .linres import build_embedded_matrix, eigenflow_sweep, eigenspectrum
 from .meanfield import (
     _BASE,
@@ -37,6 +37,7 @@ from .meanfield import (
 from .model import ADIABATIC_PUMP_RATIO, SystemParams, _check_gamma0, kappa_of
 from .sde import (
     SimConfig,
+    check_sample_plan,
     estimate_order_parameters,
     estimate_quadrature_variances,
     integrate_ensemble,
@@ -432,13 +433,14 @@ def _cmd_simulate(args) -> int:
             noise=not args.no_noise,
         )
 
-    # Build and check every row, and the options read after integrating,
-    # before integrating any row.
+    # Build and check every row, its estimators' sample needs, and the
+    # options read after integrating, before integrating any row.
     rows = []
     for i, kappa in enumerate(kappa_values):
         p = _params_at(args, args.mu, float(kappa))
         cfg = config_for(p, args.seed + i)
         cfg.check_against(p)
+        check_sample_plan(p, cfg, args.quadratures)
         rows.append((p, cfg))
     bad = []
     if args.quadratures and not single:
@@ -447,11 +449,8 @@ def _cmd_simulate(args) -> int:
         bad.append(("decimate", f"must be >= 1, got {args.decimate}"))
     if not 0 <= args.traj_index < args.n_traj:
         bad.append(("traj_index", f"{args.traj_index} out of range for n_traj={args.n_traj}"))
-    if args.n_traj < 2:
-        bad.append(("n_traj", f"ensemble estimates need >= 2 trajectories, got {args.n_traj}"))
     if bad:
-        error = InsufficientSamples if args.n_traj < 2 else ParameterError
-        raise error("; ".join(f"{f}: {m}" for f, m in bad), bad)
+        raise ParameterError("; ".join(f"{f}: {m}" for f, m in bad), bad)
     # Runs of neighbouring rows that can share a step loop integrate in
     # lockstep; a run of one row is integrated alone.
     estimated = []

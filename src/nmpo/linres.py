@@ -201,7 +201,8 @@ def build_diffusion(params: SystemParams, include_pump: bool) -> np.ndarray:
     on the memory variables (s^2 gamma0 (n_th + 1/2) on the quadratures in
     the Markovian limit), s^2 = 2 g^2 / (gamma0 gammaP); unequal occupancies
     correlate the + and - members of each pair.  The baths are isotropic, so
-    D is frame independent.  Optional pump noise is white on xP and yP.
+    D is frame independent.  include_pump adds white noise on xP and yP;
+    psd and the stochastic integrator set it to Phase.broken.
     """
     g0, s2 = params.gamma0, params.variance_scale
     if params.markovian:
@@ -257,12 +258,12 @@ def row_spectra(params: SystemParams, row: SteadyRow, gauge_tol: float | None = 
 
     The stacked form of eigenspectrum(build_embedded_matrix(params, ss)):
     returns the (N, n) sorted eigenvalues and the margin (largest real
-    part) of each state.  With gauge_tol, the margin of a state off the
-    disordered phase leaves out its gauge zero mode (see _spectra).
+    part) of each state.  With gauge_tol, the margin of a state in a broken
+    phase leaves out its gauge zero mode (see _spectra).
     """
     gauge = None
     if gauge_tol is not None:
-        gauge = np.array([ph is not Phase.DISORDERED for ph in row.phase], dtype=bool)
+        gauge = np.array([ph.broken for ph in row.phase], dtype=bool)
     return _spectra(_generators(params, row), gauge, gauge_tol)
 
 

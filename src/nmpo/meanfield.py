@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveRate, OutOfRegime, located
+from .errors import NonPositiveRate, OutOfRegime, ParameterError, located
 from .model import SystemParams, _no_memory_time, kernel_freq
 
 # |lambda| / gamma0 below which the gauge zero mode (at rounding error) is dropped.
@@ -41,6 +41,12 @@ class Phase(enum.Enum):
     DISORDERED = "disordered"
     U1 = "u1"
     U1XZ2 = "u1xz2"
+
+    @property
+    def broken(self) -> bool:
+        """Whether the phase breaks the gauge symmetry (u1 and u1xz2): only
+        these carry pump noise and the gauge zero mode."""
+        return self is not Phase.DISORDERED
 
 
 def critical_drive(kappa: float) -> float:
@@ -111,10 +117,12 @@ def steady_state_branch(
     The one-drive case of steady_row: the family is evaluated wherever it
     exists, including where it is unstable (needed for eigenvalue flow
     across crossings).  OutOfRegime if the family has no real solution at
-    this drive / memory.
+    this drive / memory; ParameterError for a gauge angle phi that is not finite.
     """
     if z2_branch not in (1, -1):
         raise OutOfRegime(f"z2_branch must be +1 or -1, got {z2_branch}")
+    if not math.isfinite(phi):
+        raise ParameterError(f"phi must be finite, got {phi}", [("phi", "must be finite")])
     mu, kappa = params.mu, params.kappa
     mu_cr = critical_drive(kappa)
     index, row = steady_row(params, np.array([mu]), phase)

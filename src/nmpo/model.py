@@ -125,6 +125,11 @@ class SystemParams:
         return 0.5 * (self.n_th_i + self.n_th_s)
 
     @property
+    def thermal_variance(self) -> float:
+        """s^2 (n_avg + 1/2): the unit of the normalized quadrature variances."""
+        return self.variance_scale * (self.n_avg + 0.5)
+
+    @property
     def pump_noise_power(self) -> float:
         """White-noise power per pump quadrature, 2 g^2 / gamma0^2 gammaP (n_th_P + 1/2)."""
         return 2.0 * self.g**2 / self.gamma0**2 * self.gammaP * (self.n_th_P + 0.5)

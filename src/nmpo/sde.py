@@ -18,7 +18,8 @@ classical process reproduces symmetric moments only.  In the Markovian
 limit the forces become white complex increments of per-quadrature variance
 s^2 gamma0 (n_th + 1/2) dt with s^2 = 2 g^2/(gamma0 gammaP).  Pump noise is
 white with per-quadrature variance sP^2 gammaP (n_th_P + 1/2) dt,
-sP^2 = 2 g^2/gamma0^2, and is off below threshold by default.
+sP^2 = 2 g^2/gamma0^2, and is on exactly when (mu, kappa) lies in a broken
+phase (Phase.broken), as in spectra.psd.
 
 The step loop holds one stacked complex state x, rows (A_i, A_s, A_P, c_i,
 c_s) with memory and (A_i, A_s, A_P) in the Markovian limit, and with
@@ -92,6 +93,8 @@ _BURN_FACTOR = 20.0
 _OVERFLOW_CHECK = 256
 # Steps of noise drawn per generator call.
 BLOCK = 32
+# Default boxcar width of estimate_order_parameters, in units of 1/gamma0.
+WINDOW = 5.0
 # Rows of the stacked state x and of the forces f holding each recordable field.
 _X_ROWS = {"A_i": 0, "A_s": 1, "A_P": 2, "c_i": 3, "c_s": 4}
 _F_ROWS = {"f_i": 0, "f_s": 1}
@@ -99,7 +102,10 @@ _F_ROWS = {"f_i": 0, "f_s": 1}
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Integration plan; times in the same units as the rate parameters."""
+    """Integration plan; times in the same units as the rate parameters.
+
+    Pump noise is not part of the plan: it follows the phase of (mu, kappa).
+    """
 
     dt: float
     t_burn: float
@@ -110,16 +116,21 @@ class SimConfig:
     record_stride: int = 1
     record_fields: tuple[str, ...] = ("A_i", "A_s", "A_P")
     noise: bool = True
-    pump_noise: bool | None = None  # None: on above threshold only
 
     def __post_init__(self):
         bad = []
-        if not (self.dt > 0):
-            bad.append(("dt", f"must be > 0, got {self.dt}"))
-        if self.t_burn < 0:
-            bad.append(("t_burn", f"must be >= 0, got {self.t_burn}"))
-        if not (self.t_sample > 0):
-            bad.append(("t_sample", f"must be > 0, got {self.t_sample}"))
+        if not (0 < self.dt < math.inf):
+            bad.append(("dt", f"must be > 0 and finite, got {self.dt}"))
+        if not (0 <= self.t_burn < math.inf):
+            bad.append(("t_burn", f"must be >= 0 and finite, got {self.t_burn}"))
+        if not (0 < self.t_sample < math.inf):
+            bad.append(("t_sample", f"must be > 0 and finite, got {self.t_sample}"))
+        if not bad:
+            for name in ("t_burn", "t_sample"):
+                span = getattr(self, name)
+                if math.isinf(span / self.dt):
+                    bad.append((name, f"must be a finite number of steps of dt = {self.dt}, "
+                                      f"got {span}"))
         if self.n_traj < 1:
             bad.append(("n_traj", f"must be >= 1, got {self.n_traj}"))
         if self.scheme not in SCHEMES:
@@ -225,9 +236,7 @@ def _start_row(params: SystemParams, config: SimConfig, initial: dict | None) ->
     g0, gp, tau = params.gamma0, params.gammaP, params.tau_r
     markov = params.markovian
     noise = config.noise
-    pump_noise = config.pump_noise
-    if pump_noise is None:
-        pump_noise = classify_phase(params.mu, params.kappa) is not Phase.DISORDERED
+    pump_noise = classify_phase(params.mu, params.kappa).broken
     dt = config.dt
 
     initial = dict(initial or {})
@@ -330,7 +339,6 @@ def _integrate(rows, initials) -> list[Trajectory]:
             "parameters and cannot be integrated in lockstep",
             [("rows", "not lockstep-compatible")],
         )
-    starts = [_start_row(p, c, init) for (p, c), init in zip(rows, initials)]
     params, config = rows[0]
     g0, gp, mu, dt = params.gamma0, params.gammaP, params.mu, config.dt
     markov = params.markovian
@@ -339,43 +347,88 @@ def _integrate(rows, initials) -> list[Trajectory]:
     n_burn, n_samp = _steps(config.t_burn, dt), _steps(config.t_sample, dt)
     stride = config.record_stride
     total = n_burn + n_samp
+    n_rec = n_samp // stride
 
     # Trajectories of all rows side by side along the lane axis; per-row
     # values become lane vectors.
     sizes = [c.n_traj for _, c in rows]
-    edges = np.cumsum([0] + sizes)
-    n_lanes = int(edges[-1])
-    x = np.concatenate([s.x for s in starts], axis=1)
-    tau = np.repeat([p.tau_r for p, _ in rows], sizes)
-    decay = np.repeat([s.decay for s in starts], sizes)
-    # White noise drives A_i, A_s, A_P when Markovian and A_P only with
-    # memory; rows without pump noise get exact zeros there.
-    white = slice(0, 3) if markov else slice(2, 3)
-    width = 6 if markov or any(s.pumped for s in starts) else 4
-    white_noise = noise and width == 6
-    # Work buffers, allocated once: x is advanced in place, f and f_new swap.
-    # With memory each force buffer holds f_i, f_s and a constant mu row, so
-    # one add puts f on the damped rows and mu on the pump row.
-    p, k1, k2 = np.empty_like(x), np.empty_like(x), np.empty_like(x)
-    if markov:
-        f = f_new = fq = fq_new = None
-    else:
-        f, f_new = np.empty((3, n_lanes), complex), np.empty((3, n_lanes), complex)
-        f[2] = f_new[2] = mu
-        fq, fq_new = f[:2], f_new[:2]
-        fq[:] = np.concatenate([s.f for s in starts], axis=1)
-    scratch = np.empty_like(x[:2]) if markov else None
-    x_white, p_white = x[white], p[white]
-    mul, add, sub = np.multiply, np.add, np.subtract
-    half_dt = 0.5 * dt
-    # i g0 on the damped rows and i on the pump row, applied by one multiply.
-    rotate = np.array([1j * g0, 1j * g0, 1j])[:, None]
-    # The final drift factors per real part: 1/2 on A_i, A_s, gammaP/2 on A_P
-    # and 1/tau_r on c_i, c_s.
-    scale = np.empty_like(x.view(float))
-    scale[:2], scale[2] = 0.5, 0.5 * gp
-    if not markov:
-        scale[3:] = np.repeat(1.0 / tau, 2)
+    n_lanes = sum(sizes)
+    # Allocation: the row starts, the work and noise buffers and the record
+    # buffers.  A plan too large for numpy to allocate is a ParameterError.
+    try:
+        edges = np.cumsum([0] + sizes)
+        starts = [_start_row(p, c, init) for (p, c), init in zip(rows, initials)]
+        x = np.concatenate([s.x for s in starts], axis=1)
+        tau = np.repeat([p.tau_r for p, _ in rows], sizes)
+        decay = np.repeat([s.decay for s in starts], sizes)
+        # White noise drives A_i, A_s, A_P when Markovian and A_P only with
+        # memory; rows without pump noise get exact zeros there.
+        white = slice(0, 3) if markov else slice(2, 3)
+        width = 6 if markov or any(s.pumped for s in starts) else 4
+        white_noise = noise and width == 6
+        # Work buffers, allocated once: x is advanced in place, f and f_new swap.
+        # With memory each force buffer holds f_i, f_s and a constant mu row, so
+        # one add puts f on the damped rows and mu on the pump row.
+        p, k1, k2 = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+        if markov:
+            f = f_new = fq = fq_new = None
+        else:
+            f, f_new = np.empty((3, n_lanes), complex), np.empty((3, n_lanes), complex)
+            f[2] = f_new[2] = mu
+            fq, fq_new = f[:2], f_new[:2]
+            fq[:] = np.concatenate([s.f for s in starts], axis=1)
+        scratch = np.empty_like(x[:2]) if markov else None
+        x_white, p_white = x[white], p[white]
+        mul, add, sub = np.multiply, np.add, np.subtract
+        half_dt = 0.5 * dt
+        # i g0 on the damped rows and i on the pump row, applied by one multiply.
+        rotate = np.array([1j * g0, 1j * g0, 1j])[:, None]
+        # The final drift factors per real part: 1/2 on A_i, A_s, gammaP/2 on A_P
+        # and 1/tau_r on c_i, c_s.
+        scale = np.empty_like(x.view(float))
+        scale[:2], scale[2] = 0.5, 0.5 * gp
+        if not markov:
+            scale[3:] = np.repeat(1.0 / tau, 2)
+
+        # Noise: each row draws its standard normals at its own width (6 when
+        # Markovian or pumped, else 4) into its own buffer, in the order of one
+        # draw per step, and scales them into complex increments (k, width // 2,
+        # lanes).  A row without pump noise keeps exact zeros in the pump column.
+        # Block b + 1 is drawn into buffer set (b + 1) % 2 while the loop reads
+        # block b from set b % 2, by the helper thread or, if the helper has not
+        # begun it, by the loop; one block is pending at a time, so the
+        # generators see the draws in order and one thread at a time.
+        feeds = [
+            (s.rng, 6 if markov or s.pumped else 4,
+             np.array(s.amp[: 3 if s.pumped else 2])[:, None], slice(lo, hi))
+            for s, lo, hi in zip(starts, edges[:-1], edges[1:])
+        ]
+        sets = [
+            (
+                [np.empty((BLOCK, w, lanes.stop - lanes.start)) for _, w, _, lanes in feeds],
+                np.zeros((BLOCK, width // 2, n_lanes), complex),
+            )
+            for _ in range(2 if noise else 0)
+        ]
+
+        # Each row records into its own buffers, so no copy is made at the end.
+        buffers = [
+            {k: np.empty((n_rec, c.n_traj), complex) for k in config.record_fields}
+            for _, c in rows
+        ]
+    except ParameterError:
+        raise
+    except (ValueError, OverflowError, MemoryError) as exc:
+        raise ParameterError(
+            f"a plan of {total} steps with record buffers of shape ({n_rec}, {n_lanes}) "
+            f"cannot be allocated: {exc}",
+            [("plan", "too large to allocate")],
+        ) from exc
+    sources = [
+        (buf, k in _X_ROWS, _X_ROWS.get(k, _F_ROWS.get(k)), slice(lo, hi))
+        for bufs, lo, hi in zip(buffers, edges[:-1], edges[1:])
+        for k, buf in bufs.items()
+    ]
 
     def drift_into(x, d):
         """The drift at (x, f) as a function of f that writes into d.
@@ -418,27 +471,6 @@ def _integrate(rows, initials) -> list[Trajectory]:
 
     drift_x, drift_p = drift_into(x, k1), drift_into(p, k2)
 
-    # Noise: each row draws its standard normals at its own width (6 when
-    # Markovian or pumped, else 4) into its own buffer, in the order of one
-    # draw per step, and scales them into complex increments (k, width // 2,
-    # lanes).  A row without pump noise keeps exact zeros in the pump column.
-    # Block b + 1 is drawn into buffer set (b + 1) % 2 while the loop reads
-    # block b from set b % 2, by the helper thread or, if the helper has not
-    # begun it, by the loop; one block is pending at a time, so the
-    # generators see the draws in order and one thread at a time.
-    feeds = [
-        (s.rng, 6 if markov or s.pumped else 4, np.array(s.amp[: 3 if s.pumped else 2])[:, None],
-         slice(lo, hi))
-        for s, lo, hi in zip(starts, edges[:-1], edges[1:])
-    ]
-    sets = [
-        (
-            [np.empty((BLOCK, w, lanes.stop - lanes.start)) for _, w, _, lanes in feeds],
-            np.zeros((BLOCK, width // 2, n_lanes), complex),
-        )
-        for _ in range(2 if noise else 0)
-    ]
-
     def fill(b: int) -> np.ndarray:
         """Draw and scale the noise of block b into its buffer set."""
         zs, inc = sets[b % 2]
@@ -450,16 +482,6 @@ def _integrate(rows, initials) -> list[Trajectory]:
             mul(a, z[:k, 1 : 2 * len(a) : 2], out=out.imag)
         return inc
 
-    # Each row records into its own buffers, so no copy is made at the end.
-    n_rec = n_samp // stride
-    buffers = [
-        {k: np.empty((n_rec, c.n_traj), complex) for k in config.record_fields} for _, c in rows
-    ]
-    sources = [
-        (buf, k in _X_ROWS, _X_ROWS.get(k, _F_ROWS.get(k)), slice(lo, hi))
-        for bufs, lo, hi in zip(buffers, edges[:-1], edges[1:])
-        for k, buf in bufs.items()
-    ]
     failed: dict[int, int] = {}  # row -> first step seen non-finite
     # Overflow en route to the StepOverflow check is deliberate; keep
     # numpy from spraying per-operation warnings about it.  The executor
@@ -542,6 +564,45 @@ class OrderParameterEstimate:
     branch_locked: bool
 
 
+def check_samples(n_traj: int, n_samples: int, t=None, window: float | None = None,
+                  quadratures: bool = False) -> None:
+    """The estimators' needs of a sampled ensemble; InsufficientSamples if unmet.
+
+    Both estimators need >= 2 trajectories.  With a window (and the record
+    times t), estimate_order_parameters also needs >= 16 samples and more
+    than 2 round(window / dt_rec), dt_rec = t[1] - t[0]; with quadratures,
+    estimate_quadrature_variances needs >= 32 samples.
+    """
+    if n_traj < 2:
+        need = f"ensemble estimates need >= 2 trajectories, got {n_traj}"
+        raise InsufficientSamples(f"n_traj: {need}", [("n_traj", need)])
+    need = None
+    if window is not None:
+        if n_samples < 16:
+            need = f"need >= 16 samples, got {n_samples}"
+        else:
+            dt_rec = float(t[1] - t[0])
+            m = int(round(window / dt_rec))
+            if m < 1 or n_samples <= 2 * m:
+                need = (f"smoothing window {window} needs more than {2 * m} samples "
+                        f"at cadence {dt_rec}")
+    if need is None and quadratures and n_samples < 32:
+        need = f"need >= 2 trajectories and >= 32 samples, got {n_traj} x {n_samples}"
+    if need is not None:
+        raise InsufficientSamples(need, [("samples", need)])
+
+
+def check_sample_plan(params: SystemParams, config: SimConfig, quadratures: bool = False) -> None:
+    """check_samples for the records config will give, at the default window,
+    before anything is integrated."""
+    stride, dt = config.record_stride, config.dt
+    n_samples = _steps(config.t_sample, dt) // stride
+    # The first two record times as integration writes them, (k stride) dt,
+    # where there is a second sample.
+    t = (stride * dt, 2 * stride * dt) if n_samples >= 2 else None
+    check_samples(config.n_traj, n_samples, t, WINDOW / params.gamma0, quadratures)
+
+
 def _check_amplitudes(tr: Trajectory) -> None:
     for name in ("A_i", "A_s"):
         if getattr(tr, name) is None:
@@ -588,12 +649,9 @@ def estimate_order_parameters(tr: Trajectory, window: float | None = None) -> Or
     """
     _check_amplitudes(tr)
     n_samples, n_traj = tr.A_i.shape
-    if n_traj < 2:
-        raise InsufficientSamples(f"need >= 2 trajectories for ensemble errors, got {n_traj}")
-    if n_samples < 16:
-        raise InsufficientSamples(f"need >= 16 samples, got {n_samples}")
     if window is None:
-        window = 5.0 / tr.params.gamma0
+        window = WINDOW / tr.params.gamma0
+    check_samples(n_traj, n_samples, tr.t, window)
     dt_rec = float(tr.t[1] - tr.t[0])
 
     amp_per_traj = np.abs(tr.A_i).mean(axis=0)
@@ -615,10 +673,6 @@ def estimate_order_parameters(tr: Trajectory, window: float | None = None) -> Or
     phi -= np.angle(tr.A_s)
     phi = _unwrap(phi)  # the difference phase
     m = int(round(window / dt_rec))
-    if m < 1 or n_samples <= 2 * m:
-        raise InsufficientSamples(
-            f"smoothing window {window} needs more than {2 * m} samples at cadence {dt_rec}"
-        )
     rates = phi[m:] - phi[:-m]
     rates /= m * dt_rec
     rates -= rates.mean(axis=0, keepdims=True)
@@ -658,13 +712,10 @@ def estimate_quadrature_variances(tr: Trajectory, frame: str = "static") -> Vari
     _check_amplitudes(tr)
     params = tr.params
     n_samples, n_traj = tr.A_i.shape
-    if n_traj < 2 or n_samples < 32:
-        raise InsufficientSamples(
-            f"need >= 2 trajectories and >= 32 samples, got {n_traj} x {n_samples}"
-        )
+    check_samples(n_traj, n_samples, quadratures=True)
     ss = steady_state(params)
     A_i, A_s = tr.A_i, tr.A_s
-    if ss.phase is not Phase.DISORDERED:
+    if ss.phase.broken:
         if ss.phase is Phase.U1XZ2 and frame == "corotating":
             branch = np.sign(np.polyfit(tr.t, _unwrap(np.angle(A_i) - np.angle(A_s)), 1)[0])
             branch[branch == 0] = 1.0
@@ -682,8 +733,8 @@ def estimate_quadrature_variances(tr: Trajectory, frame: str = "static") -> Vari
         A_i -= 1j * ss.amp_signal
         A_s -= 1j * ss.amp_signal
 
-    norm = params.variance_scale * (params.n_avg + 0.5)
-    soft = {"x-"} if ss.phase is not Phase.DISORDERED else set()
+    norm = params.thermal_variance
+    soft = {"x-"} if ss.phase.broken else set()
     parts = {"x": (A_i.real, A_s.real), "y": (A_i.imag, A_s.imag)}
     combine = {"+": np.add, "-": np.subtract}
 

@@ -108,7 +108,11 @@ def _eliminate_memory(a: np.ndarray, omega) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def _force_psd(d: np.ndarray, feed: np.ndarray) -> np.ndarray:
-    """D(omega) = D_pp + A_pm R D_mm R^H A_pm^T, made exactly Hermitian."""
+    """D(omega) = D_pp + A_pm R D_mm R^H A_pm^T, made exactly Hermitian.
+
+    Real and diagonal in a non-rotating frame; a rotating frame adds
+    Hermitian (x+, y-) and (x-, y+) entries.  D(-omega) = D(omega)^T.
+    """
     force = d[:6, :6] + feed @ d[6:, 6:] @ _h(feed)
     return 0.5 * (force + _h(force))
 
@@ -136,31 +140,6 @@ def susceptibility_at(params: SystemParams, ss: SteadyState, omega: float) -> np
     om, m, _ = _eliminate_memory(linres.build_embedded_matrix(params, ss).matrix, [omega])
     _check_response(m, om)
     return m[0]
-
-
-@dataclass(frozen=True)
-class DiffusionMatrix:
-    """Langevin force PSD in the cross-quadrature basis at one frequency.
-
-    Real and diagonal in a non-rotating frame; a rotating frame adds
-    Hermitian off-diagonal (x+, y-) and (x-, y+) entries.  Satisfies
-    D(-omega) = D(omega)^T and has non-negative diagonal.
-    """
-
-    omega: float
-    matrix: np.ndarray
-    include_pump: bool
-
-
-def diffusion_matrix(
-    params: SystemParams, ss: SteadyState, omega: float, include_pump: bool | None = None
-) -> DiffusionMatrix:
-    """Force PSD matrix; pump noise defaults to on above threshold only."""
-    if include_pump is None:
-        include_pump = ss.phase is not Phase.DISORDERED
-    om, _, feed = _eliminate_memory(linres.build_embedded_matrix(params, ss).matrix, [omega])
-    force = _force_psd(linres.build_diffusion(params, include_pump), feed)[0]
-    return DiffusionMatrix(float(om[0]), force, include_pump)
 
 
 def _marginal_rule(params: SystemParams, ss: SteadyState):
@@ -231,20 +210,18 @@ def psd(
     params: SystemParams,
     ss: SteadyState,
     omega_grid=None,
-    include_pump: bool | None = None,
     n_grid: int = 2000,
 ) -> SpectralData:
     """Hermitian PSD matrices on a symmetric frequency grid.
 
     The steady state must be stable or marginal (see _marginal_rule);
     gapless states are fine as long as the grid avoids omega = 0 exactly,
-    which the default even-count grid does.  Pump noise defaults to off
-    below threshold and on above, matching the force model of the
-    stochastic integrator.  The grid is evaluated as one (N, 6, 6) stack;
+    which the default even-count grid does.  Pump noise is on exactly when
+    the state's phase is broken, as in the stochastic integrator; the
+    SpectralData records it.  The grid is evaluated as one (N, 6, 6) stack;
     SingularAtFrequency names its first singular frequency in grid order.
     """
-    if include_pump is None:
-        include_pump = ss.phase is not Phase.DISORDERED
+    include_pump = ss.phase.broken
     em = linres.build_embedded_matrix(params, ss)
     is_marginal = _marginal_rule(params, ss)
     for lam in linres.eigenspectrum(em).eigenvalues:
@@ -375,7 +352,7 @@ def integrate_variances(sd: SpectralData) -> VarianceReport:
     cov[div, :] = cov[:, div] = np.nan
     cov[div, div] = math.inf
 
-    norm = params.variance_scale * (params.n_avg + 0.5)
+    norm = params.thermal_variance
     values = {lab: cov[q, q] / norm for lab, q in _VAR_INDEX.items()}
     for lab, v in values.items():
         if v < 0:
@@ -491,11 +468,10 @@ def variances_u1xz2(
         raise OutOfRegime(f"state is {ss.phase.value}, not the rotating broken phase")
     sd = psd(params, ss, n_grid=64)
     report = integrate_variances(sd)
-    norm = params.variance_scale * (params.n_avg + 0.5)
     cov = report.covariance
     sxp = report.sigma_x_plus
     sym = report.sigma_y_minus
-    c = float(cov[0, 4]) / norm
+    c = float(cov[0, 4]) / params.thermal_variance
     half = 0.5 * (sxp + sym)
     diff = 0.5 * (sxp - sym)
     sig_min = half - math.hypot(diff, c)

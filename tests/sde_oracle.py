@@ -53,9 +53,7 @@ def integrate_trajectory(
     markov = params.markovian
     heun = config.scheme == "stochastic-heun"
     noise = config.noise
-    pump_noise = config.pump_noise
-    if pump_noise is None:
-        pump_noise = classify_phase(mu, params.kappa) is not Phase.DISORDERED
+    pump_noise = classify_phase(mu, params.kappa) is not Phase.DISORDERED
     s2 = 2.0 * params.g**2 / (g0 * gp)
     sp2 = 2.0 * params.g**2 / g0**2
     dt = config.dt

@@ -355,6 +355,15 @@ def test_negativity_stays_finite_where_the_variance_underflows(capsys, kappa):
           for option in ("--g", "--nth", "--nth-pump")],
         *[(("negativity", option, "1"), "ParameterError")
           for option in ("--gammaP", "--g", "--nth-pump")],
+        # a gauge angle that is not finite
+        *[(("steady-state", "--mu", "2", f"--phi={phi}"), "ParameterError")
+          for phi in ("nan", "inf", "-inf")],
+        # simulate plans too large to allocate; only sizes past the address
+        # space, which numpy refuses at once
+        (("simulate", "--mu", "0.5", "--dt", "1e-300"), "ParameterError"),
+        # through the default dt = tau_r / 25
+        (("simulate", "--mu", "0.5", "--kappa", "1e200"), "ParameterError"),
+        (("simulate", "--mu", "0.5", "--n-traj", str(10**16)), "ParameterError"),
     ],
 )
 def test_invalid_grid_points_exit_2_with_their_error_class(capsys, argv, error):
@@ -687,6 +696,13 @@ def test_simulate_sweep_equals_per_row_oracle_runs(capsys, monkeypatch):
         ("1,-1", (), "NonPositiveRate"),
         ("1,0.01", ("--t-burn", "20"), "ParameterError"),
         ("1", ("--n-traj", "1"), "InsufficientSamples"),
+        # the estimators' sample needs: no sample at all, fewer than twice the
+        # 5 / gamma0 window, and fewer than 32 for --quadratures
+        ("1", ("--t-sample", "1", "--n-traj", "4", "--record-stride", "100000"),
+         "InsufficientSamples"),
+        ("1", ("--t-sample", "1"), "InsufficientSamples"),
+        ("1", ("--quadratures", "--t-sample", "100", "--record-stride", "1000"),
+         "InsufficientSamples"),
     ],
 )
 def test_simulate_checks_every_row_before_integrating(capsys, monkeypatch, kappa, extra, error):

@@ -1,13 +1,22 @@
-"""Property test of the closed forms: every input either raises a
-ParameterError, raises a NumericsError because a finite variance overflows
-once scaled by (n_th + 1/2), or gives NaN-free output whose infinities
-(normalized and absolute) are flagged."""
+"""Property tests at the boundary.
 
+The closed forms: every input either raises a ParameterError, raises a
+NumericsError because a finite variance overflows once scaled by
+(n_th + 1/2), or gives NaN-free output whose infinities (normalized and
+absolute) are flagged.  simulate's plan checks: every plan either exits 2
+with one JSON diagnostic before anything is integrated, or reaches the
+integrator."""
+
+import contextlib
+import io
+import json
 import math
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nmpo import cli
 from nmpo.errors import NumericsError, ParameterError
 from nmpo.spectra import (
     VAR_LABELS,
@@ -57,3 +66,56 @@ def test_closed_forms_raise_or_give_flagged_finite_values(mu, kappa, n_th, n_th_
         e_n, sigma_sq_abs = row[3], row[4]
         assert math.isfinite(e_n) and e_n >= 0.0, row
         assert math.isfinite(sigma_sq_abs) and sigma_sq_abs >= 0.0, row
+
+
+ANY_FLOAT = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]) | st.floats()
+ANY_INT = st.integers(-3, 40) | st.integers(-(10**20), 10**20) | st.just(10**400)
+
+
+def plan(valid, wide):
+    """An option left out (None), a value its check passes at kappa in [1, 10]
+    (so that some plans reach the integrator), or any value at all."""
+    return st.none() | valid | wide
+
+
+DT = plan(st.floats(1e-4, 1e-3), ANY_FLOAT)
+T_BURN = plan(st.floats(20.0, 100.0), ANY_FLOAT)
+T_SAMPLE = plan(st.floats(20.0, 400.0), ANY_FLOAT)
+STRIDE = plan(st.integers(1, 8), ANY_INT)
+N_TRAJ = plan(st.integers(2, 400), ANY_INT)
+KAPPAS = st.lists(st.floats(1.0, 10.0) | ANY_FLOAT, min_size=1, max_size=2)
+
+
+class Reached(Exception):
+    """The integrator was called: every plan check passed."""
+
+
+def _reached(*args, **kwargs):
+    raise Reached
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(DT, T_BURN, T_SAMPLE, STRIDE, N_TRAJ, KAPPAS)
+@example(None, None, math.inf, None, None, [1.0])  # --t-sample inf
+@example(None, math.nan, None, None, None, [1.0])  # --t-burn nan
+@example(1e-300, None, 1e300, None, None, [1.0])  # t_sample / dt overflows
+def test_simulate_plan_exits_2_or_reaches_the_integrator(dt, t_burn, t_sample, stride, n_traj,
+                                                         kappas):
+    argv = ["simulate", "--mu", "0.5", "--kappa=" + ",".join(repr(k) for k in kappas)]
+    for option, value in (("--dt", dt), ("--t-burn", t_burn), ("--t-sample", t_sample),
+                          ("--record-stride", stride), ("--n-traj", n_traj)):
+        if value is not None:
+            argv.append(f"{option}={value!r}")
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "integrate_trajectory", _reached), \
+            mock.patch.object(cli, "integrate_ensemble", _reached), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except Reached:
+            return
+    assert rc == 2, (argv, rc, err.getvalue())
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1, lines
+    assert json.loads(lines[0])["error"]

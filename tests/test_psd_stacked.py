@@ -1,8 +1,8 @@
 """The stacked PSD against the frequency-by-frequency oracle.
 
 spectra.psd evaluates its grid as one (N, 6, 6) stack, and susceptibility_at
-and diffusion_matrix are the one-frequency case of the same elimination;
-tests/psd_oracle.py keeps the loop they replace.  Results must agree bit
+and the force PSD at one frequency are the one-frequency case of the same
+elimination; tests/psd_oracle.py keeps the loop they replace.  Results must agree bit
 for bit, and a singular grid must fail with the same message.
 """
 
@@ -16,7 +16,7 @@ from nmpo import linres, spectra
 from nmpo.errors import ParameterError, SingularAtFrequency, SlowPumpWarning
 from nmpo.meanfield import Phase, critical_drive, steady_state
 from nmpo.model import SystemParams
-from nmpo.spectra import diffusion_matrix, integrate_variances, psd, susceptibility_at
+from nmpo.spectra import integrate_variances, psd, susceptibility_at
 
 
 def params(mu, kappa):
@@ -41,13 +41,19 @@ GRIDS = {
     "default": {},
     "n64": {"n_grid": 64},
     "user": {"omega_grid": [-7.5, -0.3, 1e-3, 0.25, 2.0, 40.0]},
-    "user-no-pump": {"omega_grid": [-2.0, 0.5, 3.0], "include_pump": False},
+    "user-no-pump": {"omega_grid": [-2.0, 0.5, 3.0]},
 }
 
 
 def at(name):
     p = params(*STATES[name])
     return p, steady_state(p)
+
+
+def force_psd(p, ss, omega, include_pump):
+    """(omega, D(omega)) from the one-frequency elimination."""
+    om, _, feed = spectra._eliminate_memory(linres.build_embedded_matrix(p, ss).matrix, [omega])
+    return om[0], spectra._force_psd(linres.build_diffusion(p, include_pump), feed)[0]
 
 
 @pytest.mark.parametrize("grid", GRIDS)
@@ -60,6 +66,11 @@ def test_psd_equals_the_frequency_loop(state, grid):
     assert sd.matrices.shape == mats.shape
     assert sd.matrices.tobytes() == mats.tobytes()
     assert sd.frame == frame
+    if grid == "user-no-pump":
+        # psd has no pump switch: the oracle's pump-off spectrum is psd's
+        # exactly where the phase is not broken.
+        _, off, _ = oracle.psd(p, ss, **GRIDS[grid], include_pump=False)
+        assert (off.tobytes() == mats.tobytes()) is not ss.phase.broken
 
 
 @pytest.mark.parametrize("state", STATES)
@@ -68,9 +79,9 @@ def test_one_frequency_helpers_equal_the_frequency_loop(state):
     for w in (-3.0, 0.25, 17.0):
         assert susceptibility_at(p, ss, w).tobytes() == oracle.susceptibility_at(p, ss, w).tobytes()
         for pump in (None, True, False):
-            got = diffusion_matrix(p, ss, w, pump)
-            assert got.matrix.tobytes() == oracle.diffusion_matrix(p, ss, w, pump).tobytes()
-            assert got.omega == w
+            omega, got = force_psd(p, ss, w, ss.phase.broken if pump is None else pump)
+            assert got.tobytes() == oracle.diffusion_matrix(p, ss, w, pump).tobytes()
+            assert omega == w
 
 
 @pytest.mark.parametrize(
@@ -117,7 +128,7 @@ def test_one_frequency_helpers_reject_non_finite_omega(omega):
     with pytest.raises(ParameterError):
         susceptibility_at(p, ss, omega)
     with pytest.raises(ParameterError):
-        diffusion_matrix(p, ss, omega)
+        force_psd(p, ss, omega, False)
 
 
 @pytest.mark.parametrize("state", ["disordered", "markov-disordered"])

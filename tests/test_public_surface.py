@@ -14,6 +14,8 @@ RETIRED = (
     "validate",
     "ou_noise_step",
     "MemoryKernel",
+    "diffusion_matrix",
+    "DiffusionMatrix",
 )
 
 

@@ -70,6 +70,22 @@ def test_config_field_validation_collects_violations():
             "record_stride", "record_fields"} <= fields
 
 
+@pytest.mark.parametrize(
+    "times, field",
+    [
+        (dict(dt=math.inf), "dt"),
+        (dict(t_burn=math.inf), "t_burn"),
+        (dict(t_burn=math.nan), "t_burn"),
+        (dict(t_sample=math.inf), "t_sample"),
+        (dict(dt=1e-300, t_sample=1e300), "t_sample"),  # the step count overflows
+    ],
+)
+def test_config_requires_finite_times_and_step_counts(times, field):
+    with pytest.raises(ParameterError) as exc:
+        config(**times)
+    assert [f for f, _ in exc.value.violations] == [field]
+
+
 def test_config_step_and_burn_floors():
     p = params(0.5, 1.0)
     with pytest.raises(ParameterError) as exc:
@@ -151,13 +167,16 @@ def test_one_step_noise_covariance_is_the_diffusion(kappa, nth_i, nth_s, pump_no
     # The per-step noise of the integrator is the white-noise diffusion D of
     # the linear response, times dt: on the quadratures x+- = (A_i +- A_s)/sqrt 2
     # when Markovian, through the OU forces on the memory variables otherwise.
+    # Pump noise follows the phase: on at mu = 2 (broken at both kappa), off
+    # at mu = 0.5.
     p = SystemParams.from_kappa(
-        gamma0=1.3, gammaP=130.0, kappa=kappa, g=0.02, mu=0.5,
+        gamma0=1.3, gammaP=130.0, kappa=kappa, g=0.02, mu=2.0 if pump_noise else 0.5,
         n_th_i=nth_i, n_th_s=nth_s, n_th_P=0.4,
     )
     fastest, slowest = p.timescales
-    cfg = config(dt=fastest / 25.0, t_burn=20.0 * slowest, pump_noise=pump_noise)
+    cfg = config(dt=fastest / 25.0, t_burn=20.0 * slowest)
     row = _start_row(p, cfg, None)
+    assert row.pumped is pump_noise
     w_i, w_s, w_p = row.amp
     d = build_diffusion(p, include_pump=pump_noise)
     assert w_p**2 == pytest.approx(d[2, 2] * cfg.dt, rel=1e-14, abs=0.0)
@@ -444,23 +463,23 @@ def assert_same_records(got, want):
 @pytest.mark.parametrize(
     "mu, kappa, cfg, initial",
     [
-        # memory rows: Heun and Euler, pump noise by phase / forced on / off
+        # memory rows: Heun and Euler, pumped (mu = 2) and unpumped (mu = 0.5)
         (0.5, 1.0, dict(record_fields=RECORDABLE), None),
         (2.0, 1.5, dict(record_fields=("A_i", "c_i", "f_s"), scheme="euler-maruyama"), None),
-        (2.0, 1.0, dict(pump_noise=False, record_stride=1), None),
-        (0.5, 1.0, dict(pump_noise=True, n_traj=1), None),
+        (2.0, 1.0, dict(record_stride=1), None),
+        (0.5, 1.0, dict(n_traj=1), None),
         (0.5, 1.0, dict(noise=False, record_fields=RECORDABLE), None),
         (0.5, 1.0, dict(record_fields=RECORDABLE),
          {"A_i": 0.5j, "A_s": np.array([0.1, 0.2, -0.3j]), "c_i": 0.0, "f_i": 0.2}),
         # Markovian rows
         (0.5, math.inf, dict(), None),
         (2.0, math.inf, dict(scheme="euler-maruyama"), None),
-        (2.0, math.inf, dict(pump_noise=False, n_traj=1, record_stride=1), None),
+        (2.0, math.inf, dict(n_traj=1, record_stride=1), None),
         (0.5, math.inf, dict(noise=False), {"A_P": 0.4j}),
         # signed zeros on rows without white noise, whose zero-noise add is skipped:
         # an unpumped memory row, and a Markovian row whose first two lanes stay
         # at the zero fixed point
-        (0.5, 1.0, dict(pump_noise=False, record_fields=RECORDABLE),
+        (0.5, 1.0, dict(record_fields=RECORDABLE),
          {"A_P": NEG_ZERO, "c_i": NEG_ZERO, "f_s": NEG_ZERO}),
         (0.5, math.inf, dict(noise=False, record_stride=1),
          {"A_i": NEG_ZERO, "A_s": np.array([NEG_ZERO, -0.0, 0.1]), "A_P": NEG_ZERO}),
@@ -596,15 +615,19 @@ def test_a_failed_noise_draw_surfaces_and_stops_the_helper(monkeypatch):
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("kappas", [(1.0, 1.5, 2.0), (math.inf, math.inf)])
+@pytest.mark.parametrize("kappas", [(0.3, 1.0, 2.0), (math.inf, math.inf)])
 def test_ensemble_rows_equal_single_oracle_runs(kappas):
-    # mu = 0.9: kappa >= 1 rows are disordered, so pump noise is on only
-    # where it is forced; rows differ in seed, n_traj and occupancy.
+    # mu = 0.9: the kappa = 0.3 row is u1xz2 and pumped, the kappa >= 1 rows
+    # are disordered and unpumped; rows differ in seed, n_traj and occupancy.
+    # The burn-in meets the kappa = 0.3 floor of 20 tau_r.
     rows = []
     for i, kappa in enumerate(kappas):
         p = oracle_params(0.9, kappa, nth=0.2 * i)
-        rows.append((p, SimConfig(**{**ORACLE_BASE, "seed": 10 + i, "n_traj": 2 + i,
-                                     "pump_noise": (True, None, False)[i]})))
+        rows.append((p, SimConfig(**{**ORACLE_BASE, "t_burn": 51.3, "seed": 10 + i,
+                                     "n_traj": 2 + i})))
+    assert [start.pumped for start in (_start_row(p, c, None) for p, c in rows)] == [
+        kappa < 1 for kappa in kappas
+    ]
     for (p, c), got in zip(rows, integrate_ensemble(rows)):
         assert_same_records(got, sde_oracle.integrate_trajectory(p, c))
 

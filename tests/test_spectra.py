@@ -10,11 +10,11 @@ import pytest
 
 import nmpo
 import spectral_oracle as oracle
+from nmpo import linres, spectra
 from nmpo.errors import OutOfRegime, ParameterError, SingularAtFrequency
 from nmpo.meanfield import Phase, steady_state, steady_state_branch
 from nmpo.model import SystemParams
 from nmpo.spectra import (
-    diffusion_matrix,
     integrate_variances,
     log_negativity,
     negativity_map,
@@ -79,12 +79,21 @@ def test_susceptibility_markovian_frequency_dependence_trivial():
 # === diffusion matrix =========================================================
 
 
+def diffusion_matrix(p, ss, omega, include_pump=None):
+    """The force PSD D(omega) at one frequency, pump noise by the phase
+    unless include_pump is given."""
+    if include_pump is None:
+        include_pump = ss.phase.broken
+    feed = spectra._eliminate_memory(linres.build_embedded_matrix(p, ss).matrix, [omega])[2]
+    return spectra._force_psd(linres.build_diffusion(p, include_pump), feed)[0]
+
+
 def test_diffusion_even_in_frequency_static_frame():
     p = params(0.5, 0.7, nth=0.3)
     ss = steady_state(p)
     for w in (0.0, 0.4, 2.2):
-        dp = diffusion_matrix(p, ss, w).matrix
-        dm = diffusion_matrix(p, ss, -w).matrix
+        dp = diffusion_matrix(p, ss, w)
+        dm = diffusion_matrix(p, ss, -w)
         assert np.allclose(dp, dm, atol=1e-15)
         assert np.all(np.diag(dp).real >= 0)
         assert np.max(np.abs(dp.imag)) == 0.0
@@ -93,8 +102,8 @@ def test_diffusion_even_in_frequency_static_frame():
 def test_diffusion_rotating_frame_hermitian_pair():
     p = params(1.0, 0.2, nth=0.5)
     ss = steady_state(p)
-    d = diffusion_matrix(p, ss, 0.9).matrix
-    dm = diffusion_matrix(p, ss, -0.9).matrix
+    d = diffusion_matrix(p, ss, 0.9)
+    dm = diffusion_matrix(p, ss, -0.9)
     assert np.allclose(d, d.conj().T, atol=1e-15)
     assert np.allclose(dm, d.conj(), atol=1e-15)
 
@@ -102,13 +111,13 @@ def test_diffusion_rotating_frame_hermitian_pair():
 def test_diffusion_tails_and_pump_rows():
     p = params(0.5, 0.5, nth=0.0)
     ss = steady_state(p)
-    small = diffusion_matrix(p, ss, 1e3).matrix
-    assert abs(small[0, 0]) < 1e-4 * abs(diffusion_matrix(p, ss, 0.0).matrix[0, 0])
+    small = diffusion_matrix(p, ss, 1e3)
+    assert abs(small[0, 0]) < 1e-4 * abs(diffusion_matrix(p, ss, 0.0)[0, 0])
     # pump entries are white: frequency independent, included above threshold
     p2 = params(2.0, 1.0, nth=0.0)
     ss2 = steady_state(p2)
-    d0 = diffusion_matrix(p2, ss2, 0.0).matrix
-    d9 = diffusion_matrix(p2, ss2, 9.0).matrix
+    d0 = diffusion_matrix(p2, ss2, 0.0)
+    d9 = diffusion_matrix(p2, ss2, 9.0)
     sp2 = 2.0 * p2.g**2 / p2.gamma0**2
     assert d0[2, 2] == pytest.approx(sp2 * p2.gammaP * 0.5, rel=1e-12)
     assert d9[2, 2] == pytest.approx(d0[2, 2], rel=1e-12)
@@ -117,9 +126,9 @@ def test_diffusion_tails_and_pump_rows():
 def test_diffusion_pump_rows_excluded_below_threshold():
     p = params(0.5, 1.0)
     ss = steady_state(p)
+    assert not ss.phase.broken
     d = diffusion_matrix(p, ss, 0.0)
-    assert not d.include_pump
-    assert d.matrix[2, 2] == 0.0 and d.matrix[5, 5] == 0.0
+    assert d[2, 2] == 0.0 and d[5, 5] == 0.0
 
 
 # === power spectral density ===================================================
@@ -218,7 +227,7 @@ def test_schur_complements_match_frequency_domain_forms(mu, kappa, extra):
         assert np.max(np.abs(susceptibility_at(p, ss, w) - chi_inv)) < 1e-14
         for pump in (False, True):
             want = oracle.force_psd(p, ss, w, pump)
-            got = diffusion_matrix(p, ss, w, include_pump=pump).matrix
+            got = diffusion_matrix(p, ss, w, include_pump=pump)
             assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
 
 
