@@ -37,6 +37,7 @@ from .meanfield import (
 from .model import ADIABATIC_PUMP_RATIO, SystemParams, _check_gamma0, kappa_of
 from .sde import (
     SimConfig,
+    check_plan,
     check_sample_plan,
     estimate_order_parameters,
     estimate_quadrature_variances,
@@ -452,10 +453,13 @@ def _cmd_simulate(args) -> int:
     if bad:
         raise ParameterError("; ".join(f"{f}: {m}" for f, m in bad), bad)
     # Runs of neighbouring rows that can share a step loop integrate in
-    # lockstep; a run of one row is integrated alone.
+    # lockstep; a run of one row is integrated alone.  Every run's record
+    # buffers are checked against numpy's size limit before the first step.
+    runs = [list(run) for _, run in itertools.groupby(rows, key=lambda row: lockstep_key(*row))]
+    for run in runs:
+        check_plan(run)
     estimated = []
-    for _, run in itertools.groupby(rows, key=lambda row: lockstep_key(*row)):
-        run = list(run)
+    for run in runs:
         trajs = integrate_ensemble(run) if len(run) > 1 else [integrate_trajectory(*run[0])]
         estimated += [(traj, estimate_order_parameters(traj)) for traj in trajs]
     results = [

@@ -63,6 +63,17 @@ rest on identities:
 * A row set without white noise skips adding the zero increment.  x + 0.0
   differs from x only at x = -0.0, and a part of x + k dt is -0.0 only when
   both terms are; the signed-zero starts of the oracle tests hold it.
+
+The estimators read the records over blocks of trajectory columns, each
+about _BLOCK_BYTES of complex samples and at least _MIN_BLOCK columns wide
+(a narrower last block joins the one before), and write per-trajectory
+vectors.  The one full plane they build is an unwrapped phase, for a single
+least-squares slope fit on np.polyfit's route; lstsq run block by block
+differs in the last bits.  Their memory is the records plus that plane and
+lstsq's copy of it.  Axis-0 means and variances of a block are those of the
+whole plane bit for bit: numpy adds row by row once a block is 2 columns
+wide (one column it sums pairwise), and the corotating path's complex means
+were seen to differ at 4 columns but not at 8, hence the floor of 16.
 """
 
 from __future__ import annotations
@@ -95,6 +106,10 @@ _OVERFLOW_CHECK = 256
 BLOCK = 32
 # Default boxcar width of estimate_order_parameters, in units of 1/gamma0.
 WINDOW = 5.0
+# The estimators work over blocks of trajectory columns of about this many
+# bytes of complex samples, and of at least _MIN_BLOCK columns.
+_BLOCK_BYTES = 1 << 21
+_MIN_BLOCK = 16
 # Rows of the stacked state x and of the forces f holding each recordable field.
 _X_ROWS = {"A_i": 0, "A_s": 1, "A_P": 2, "c_i": 3, "c_s": 4}
 _F_ROWS = {"f_i": 0, "f_s": 1}
@@ -330,6 +345,54 @@ def integrate_ensemble(rows) -> list[Trajectory]:
     return _integrate(rows, [None] * len(rows))
 
 
+# What numpy raises for a plan it cannot allocate: a dimension past its
+# limit, a size past the address space, or memory it cannot get.
+_ALLOCATION_ERRORS = (ValueError, OverflowError, MemoryError)
+
+
+def _count(n: int) -> str:
+    """n in full up to 1e15, past that in scientific notation read from its
+    decimal digits (a float conversion can overflow)."""
+    if n <= 10**15:
+        return str(n)
+    # Imported on this error path alone: decimal costs every run memory.
+    from decimal import Decimal
+
+    return format(Decimal(n), ".3e")
+
+
+def _plan_error(rows, reason) -> ParameterError:
+    config = rows[0][1]
+    n_samp = _steps(config.t_sample, config.dt)
+    total = _steps(config.t_burn, config.dt) + n_samp
+    n_rec = n_samp // config.record_stride
+    n_lanes = sum(c.n_traj for _, c in rows)
+    return ParameterError(
+        f"a plan of {_count(total)} steps with record buffers of shape "
+        f"({_count(n_rec)}, {_count(n_lanes)}) cannot be allocated: {reason}",
+        [("plan", "too large to allocate")],
+    )
+
+
+def check_plan(rows) -> None:
+    """ParameterError if a record buffer integrate_ensemble(rows) would fill
+    is past numpy's size limit, a dimension or byte count above np.intp.
+
+    Nothing is allocated.  Memory the machine cannot give is found when the
+    rows are integrated, and raises the same ParameterError there.
+    """
+    config = rows[0][1]
+    if not config.record_fields:
+        return
+    n_rec = _steps(config.t_sample, config.dt) // config.record_stride
+    limit = int(np.iinfo(np.intp).max)
+    for _, c in rows:
+        size = n_rec * c.n_traj * np.dtype(complex).itemsize
+        if max(n_rec, c.n_traj, size) > limit:
+            raise _plan_error(rows, f"a record buffer of {_count(size)} bytes is past "
+                                    f"numpy's limit of {_count(limit)}")
+
+
 def _integrate(rows, initials) -> list[Trajectory]:
     if not rows:
         return []
@@ -418,12 +481,8 @@ def _integrate(rows, initials) -> list[Trajectory]:
         ]
     except ParameterError:
         raise
-    except (ValueError, OverflowError, MemoryError) as exc:
-        raise ParameterError(
-            f"a plan of {total} steps with record buffers of shape ({n_rec}, {n_lanes}) "
-            f"cannot be allocated: {exc}",
-            [("plan", "too large to allocate")],
-        ) from exc
+    except _ALLOCATION_ERRORS as exc:
+        raise _plan_error(rows, str(exc)) from exc
     sources = [
         (buf, k in _X_ROWS, _X_ROWS.get(k, _F_ROWS.get(k)), slice(lo, hi))
         for bufs, lo, hi in zip(buffers, edges[:-1], edges[1:])
@@ -571,8 +630,12 @@ def check_samples(n_traj: int, n_samples: int, t=None, window: float | None = No
     Both estimators need >= 2 trajectories.  With a window (and the record
     times t), estimate_order_parameters also needs >= 16 samples and more
     than 2 round(window / dt_rec), dt_rec = t[1] - t[0]; with quadratures,
-    estimate_quadrature_variances needs >= 32 samples.
+    estimate_quadrature_variances needs >= 32 samples.  A window that is not
+    > 0 and finite, or not a finite number of samples wide, is a
+    ParameterError naming window.
     """
+    if window is not None and not 0 < window < math.inf:
+        _bad_window(f"must be > 0 and finite, got {window}")
     if n_traj < 2:
         need = f"ensemble estimates need >= 2 trajectories, got {n_traj}"
         raise InsufficientSamples(f"n_traj: {need}", [("n_traj", need)])
@@ -582,7 +645,11 @@ def check_samples(n_traj: int, n_samples: int, t=None, window: float | None = No
             need = f"need >= 16 samples, got {n_samples}"
         else:
             dt_rec = float(t[1] - t[0])
-            m = int(round(window / dt_rec))
+            width = window / dt_rec
+            if not math.isfinite(width):
+                _bad_window(f"must be a finite number of samples at cadence {dt_rec}, "
+                            f"got {window}")
+            m = int(round(width))
             if m < 1 or n_samples <= 2 * m:
                 need = (f"smoothing window {window} needs more than {2 * m} samples "
                         f"at cadence {dt_rec}")
@@ -590,6 +657,10 @@ def check_samples(n_traj: int, n_samples: int, t=None, window: float | None = No
         need = f"need >= 2 trajectories and >= 32 samples, got {n_traj} x {n_samples}"
     if need is not None:
         raise InsufficientSamples(need, [("samples", need)])
+
+
+def _bad_window(message: str) -> None:
+    raise ParameterError(f"window: {message}", [("window", message)])
 
 
 def check_sample_plan(params: SystemParams, config: SimConfig, quadratures: bool = False) -> None:
@@ -607,6 +678,19 @@ def _check_amplitudes(tr: Trajectory) -> None:
     for name in ("A_i", "A_s"):
         if getattr(tr, name) is None:
             raise InsufficientSamples(f"trajectory is missing recorded field {name!r}")
+
+
+def _blocks(n_samples: int, n_traj: int) -> list[slice]:
+    """The column blocks the estimators work over, covering n_traj columns.
+
+    A block holds about _BLOCK_BYTES of complex samples and at least
+    _MIN_BLOCK columns; a shorter last block joins the one before it.
+    """
+    width = max(_MIN_BLOCK, _BLOCK_BYTES // (16 * n_samples))
+    starts = list(range(0, n_traj, width))
+    if len(starts) > 1 and n_traj - starts[-1] < _MIN_BLOCK:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n_traj])]
 
 
 def _unwrap(p: np.ndarray) -> np.ndarray:
@@ -635,6 +719,32 @@ def _unwrap(p: np.ndarray) -> np.ndarray:
     return up
 
 
+def _slopes(t, y: np.ndarray) -> np.ndarray:
+    """np.polyfit(t, y, 1)[0], bit for bit, without polyfit's copy of y.
+
+    polyfit's route: the Vandermonde matrix of t with its columns scaled to
+    unit norm, lstsq at rcond = len(t) eps, the scale divided out.  Its
+    y + 0.0, which turns -0.0 into 0.0, is done here in place: y is the
+    caller's scratch.
+    """
+    x = np.asarray(t) + 0.0
+    lhs = np.vander(x, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    np.add(y, 0.0, out=y)
+    return np.linalg.lstsq(lhs, y, len(x) * np.finfo(x.dtype).eps)[0][0] / scale[0]
+
+
+def _phase_slopes(tr: Trajectory, blocks, angle_of_block) -> np.ndarray:
+    """Per-trajectory slopes of the unwrapped phase angle_of_block(cols)
+    gives for each column block: the one full plane the estimators build,
+    fitted once by _slopes (a per-block fit is not bit-identical)."""
+    phase = np.empty(tr.A_i.shape)
+    for cols in blocks:
+        phase[:, cols] = _unwrap(angle_of_block(cols))
+    return _slopes(tr.t, phase)
+
+
 def estimate_order_parameters(tr: Trajectory, window: float | None = None) -> OrderParameterEstimate:
     """Order parameters from sampled trajectories.
 
@@ -653,13 +763,26 @@ def estimate_order_parameters(tr: Trajectory, window: float | None = None) -> Or
         window = WINDOW / tr.params.gamma0
     check_samples(n_traj, n_samples, tr.t, window)
     dt_rec = float(tr.t[1] - tr.t[0])
+    m = int(round(window / dt_rec))
 
-    amp_per_traj = np.abs(tr.A_i).mean(axis=0)
+    blocks = _blocks(n_samples, n_traj)
+    slopes = _phase_slopes(tr, blocks, lambda cols: np.angle(tr.A_i[:, cols]))
+    # Per trajectory, over column blocks: the mean |A_i| and the variance of
+    # the windowed difference-phase rate about its mean.
+    amp_per_traj, v_per_traj = np.empty(n_traj), np.empty(n_traj)
+    for cols in blocks:
+        a_i = tr.A_i[:, cols]
+        amp_per_traj[cols] = np.abs(a_i).mean(axis=0)
+        phi = np.angle(a_i)
+        phi -= np.angle(tr.A_s[:, cols])
+        phi = _unwrap(phi)  # the difference phase
+        rates = phi[m:] - phi[:-m]
+        rates /= m * dt_rec
+        rates -= rates.mean(axis=0, keepdims=True)
+        v_per_traj[cols] = np.square(rates, out=rates).mean(axis=0)
+
     amp_mean = float(amp_per_traj.mean())
     amp_se = float(amp_per_traj.std(ddof=1) / math.sqrt(n_traj))
-
-    phi = np.angle(tr.A_i)
-    slopes = np.polyfit(tr.t, _unwrap(phi), 1)[0]
     mags = np.abs(slopes)
     mean_mag = float(mags.mean())
     locked = mean_mag > 0 and float(mags.min()) > 0.5 * mean_mag
@@ -669,14 +792,6 @@ def estimate_order_parameters(tr: Trajectory, window: float | None = None) -> Or
     else:
         delta_est = abs(float(slopes.mean()))
         delta_se = float(slopes.std(ddof=1) / math.sqrt(n_traj))
-
-    phi -= np.angle(tr.A_s)
-    phi = _unwrap(phi)  # the difference phase
-    m = int(round(window / dt_rec))
-    rates = phi[m:] - phi[:-m]
-    rates /= m * dt_rec
-    rates -= rates.mean(axis=0, keepdims=True)
-    v_per_traj = np.square(rates, out=rates).mean(axis=0)
     var_phi_dot = float(v_per_traj.mean())
     var_se = float(v_per_traj.std(ddof=1) / math.sqrt(n_traj))
 
@@ -714,44 +829,60 @@ def estimate_quadrature_variances(tr: Trajectory, frame: str = "static") -> Vari
     n_samples, n_traj = tr.A_i.shape
     check_samples(n_traj, n_samples, quadratures=True)
     ss = steady_state(params)
-    A_i, A_s = tr.A_i, tr.A_s
-    if ss.phase.broken:
-        if ss.phase is Phase.U1XZ2 and frame == "corotating":
-            branch = np.sign(np.polyfit(tr.t, _unwrap(np.angle(A_i) - np.angle(A_s)), 1)[0])
-            branch[branch == 0] = 1.0
-            rot = np.exp(-1j * ss.delta * np.outer(tr.t, branch))
-            A_i = A_i * rot
-            # numpy reuses np.conj's temporary as this product's output, and a
-            # complex product written over one of its inputs can round apart
-            # from one written to a fresh array: keep this form, and the bits.
-            A_s = A_s * np.conj(rot)
-        # Gauge angle per trajectory from the circular mean of the
-        # difference phase, then fluctuations about the phi = 0 mean field.
-        phi_hat = np.angle(np.exp(1j * (np.angle(A_i) - np.angle(A_s))).mean(axis=0))
-        A_i = A_i * np.exp(-0.5j * phi_hat)[None, :]
-        A_s = A_s * np.exp(+0.5j * phi_hat)[None, :]
-        A_i -= 1j * ss.amp_signal
-        A_s -= 1j * ss.amp_signal
+    broken = ss.phase.broken
+    blocks = _blocks(n_samples, n_traj)
+    branch = None
+    if broken and ss.phase is Phase.U1XZ2 and frame == "corotating":
+        # The rotation sense of each trajectory from the sign of its
+        # difference-phase slope, 0 taken as +1.
+        branch = np.sign(_phase_slopes(
+            tr, blocks, lambda cols: np.angle(tr.A_i[:, cols]) - np.angle(tr.A_s[:, cols])))
+        branch[branch == 0] = 1.0
+
+    # Per trajectory, over column blocks: each quadrature's variance over
+    # the whole record and over its first and second halves.  In a broken
+    # phase x-, the gauge quadrature, is divergent and not sampled.
+    labels = ("x+", "y+", "y-") if broken else ("x+", "x-", "y+", "y-")
+    combine = {"+": np.add, "-": np.subtract}
+    half = n_samples // 2
+    var = {lab: np.empty((3, n_traj)) for lab in labels}
+    for cols in blocks:
+        A_i, A_s = tr.A_i[:, cols], tr.A_s[:, cols]
+        if broken:
+            if branch is not None:
+                rot = np.exp(-1j * ss.delta * np.outer(tr.t, branch[cols]))
+                A_i = A_i * rot
+                # numpy reuses np.conj's temporary as this product's output,
+                # and a complex product written over one of its inputs can
+                # round apart from one written to a fresh array: keep this
+                # form, and the bits.
+                A_s = A_s * np.conj(rot)
+            # Gauge angle per trajectory from the circular mean of the
+            # difference phase, then fluctuations about the phi = 0 mean field.
+            phi_hat = np.angle(np.exp(1j * (np.angle(A_i) - np.angle(A_s))).mean(axis=0))
+            A_i = A_i * np.exp(-0.5j * phi_hat)[None, :]
+            A_s = A_s * np.exp(+0.5j * phi_hat)[None, :]
+            A_i -= 1j * ss.amp_signal
+            A_s -= 1j * ss.amp_signal
+        parts = {"x": (A_i.real, A_s.real), "y": (A_i.imag, A_s.imag)}
+        for lab in labels:
+            # (a +- b) / sqrt(2), divided in place.
+            q = combine[lab[1]](*parts[lab[0]])
+            q /= math.sqrt(2.0)
+            v = var[lab]
+            v[0, cols] = q.var(axis=0)
+            v[1, cols] = q[:half].var(axis=0)
+            v[2, cols] = q[half:].var(axis=0)
 
     norm = params.thermal_variance
-    soft = {"x-"} if ss.phase.broken else set()
-    parts = {"x": (A_i.real, A_s.real), "y": (A_i.imag, A_s.imag)}
-    combine = {"+": np.add, "-": np.subtract}
-
     values, stderr = {}, {}
-    half = n_samples // 2
     for lab in ("x+", "x-", "y+", "y-"):
-        if lab in soft:
+        if lab not in var:
             values[lab] = stderr[lab] = math.inf
             continue
-        # One quadrature plane at a time, (a +- b) / sqrt(2) divided in place.
-        q = combine[lab[1]](*parts[lab[0]])
-        q /= math.sqrt(2.0)
-        v_traj = q.var(axis=0)
+        v_traj, v1, v2 = var[lab]
         val = float(v_traj.mean()) / norm
         se = float(v_traj.std(ddof=1) / math.sqrt(n_traj)) / norm
-        v1 = q[:half].var(axis=0)
-        v2 = q[half:].var(axis=0)
         m1, m2 = v1.mean() / norm, v2.mean() / norm
         s1 = v1.std(ddof=1) / math.sqrt(n_traj) / norm
         s2e = v2.std(ddof=1) / math.sqrt(n_traj) / norm

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -373,6 +374,18 @@ def test_invalid_grid_points_exit_2_with_their_error_class(capsys, argv, error):
     assert json.loads(err)["error"] == error
 
 
+@pytest.mark.parametrize("argv", [("--dt", "1e-300"), ("--kappa", "1e200"),
+                                  ("--n-traj", str(10**16))])
+def test_plans_too_large_print_counts_past_1e15_in_scientific_notation(capsys, argv):
+    rc, _, err = run(capsys, "simulate", "--mu", "0.5", *argv)
+    assert rc == 2
+    count = r"(\d{1,16}|\d\.\d{3}e\+\d+)"
+    detail = json.loads(err)["detail"]
+    assert re.match(rf"a plan of {count} steps with record buffers of shape "
+                    rf"\({count}, {count}\) cannot be allocated: ", detail)
+    assert "e+" in detail
+
+
 @pytest.mark.parametrize(
     "argv,detail",
     [
@@ -693,16 +706,19 @@ def test_simulate_sweep_equals_per_row_oracle_runs(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "kappa, extra, error",
     [
-        ("1,-1", (), "NonPositiveRate"),
-        ("1,0.01", ("--t-burn", "20"), "ParameterError"),
-        ("1", ("--n-traj", "1"), "InsufficientSamples"),
+        ("1,-1", (*SIM_FAST,), "NonPositiveRate"),
+        ("1,0.01", (*SIM_FAST, "--t-burn", "20"), "ParameterError"),
+        ("1", (*SIM_FAST, "--n-traj", "1"), "InsufficientSamples"),
         # the estimators' sample needs: no sample at all, fewer than twice the
         # 5 / gamma0 window, and fewer than 32 for --quadratures
-        ("1", ("--t-sample", "1", "--n-traj", "4", "--record-stride", "100000"),
+        ("1", (*SIM_FAST, "--t-sample", "1", "--n-traj", "4", "--record-stride", "100000"),
          "InsufficientSamples"),
-        ("1", ("--t-sample", "1"), "InsufficientSamples"),
-        ("1", ("--quadratures", "--t-sample", "100", "--record-stride", "1000"),
+        ("1", (*SIM_FAST, "--t-sample", "1"), "InsufficientSamples"),
+        ("1", (*SIM_FAST, "--quadratures", "--t-sample", "100", "--record-stride", "1000"),
          "InsufficientSamples"),
+        # a later lockstep run whose record buffers numpy cannot allocate: the
+        # default dt = tau_r / 25 at kappa = 1e200 gives another run
+        ("1,1e200", ("--t-sample", "20", "--n-traj", "20"), "ParameterError"),
     ],
 )
 def test_simulate_checks_every_row_before_integrating(capsys, monkeypatch, kappa, extra, error):
@@ -711,7 +727,7 @@ def test_simulate_checks_every_row_before_integrating(capsys, monkeypatch, kappa
 
     monkeypatch.setattr(cli, "integrate_trajectory", integrated)
     monkeypatch.setattr(cli, "integrate_ensemble", integrated)
-    rc, _, err = run(capsys, "simulate", "--mu", "0.5", "--kappa", kappa, *SIM_FAST, *extra)
+    rc, _, err = run(capsys, "simulate", "--mu", "0.5", "--kappa", kappa, *extra)
     assert rc == 2
     diag = diagnostic(err)
     assert diag["error"] == error

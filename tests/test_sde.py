@@ -298,6 +298,20 @@ def test_order_estimator_sample_requirements():
             estimate(no_signal)
 
 
+@pytest.mark.parametrize("window", [0.0, -1.0, -math.inf, math.inf, math.nan, 1e308])
+def test_order_estimator_window_must_be_a_finite_positive_width(window):
+    # 1e308 is finite, but not a finite number of samples at cadence 0.005;
+    # a window that is not a finite width is named before the samples' needs
+    checks = [lambda: sde.check_samples(4, 2000, (0.005, 0.01), window)]
+    if not 0 < window < math.inf:
+        checks.append(lambda: sde.check_samples(1, 0, None, window))
+    for check in checks:
+        with pytest.raises(ParameterError) as info:
+            check()
+        assert type(info.value) is ParameterError
+        assert [name for name, _ in info.value.violations] == ["window"]
+
+
 def test_order_parameters_static_broken_phase():
     p = params(2.0, 1.0)
     tr = integrate_trajectory(p, config(t_sample=150.0, n_traj=48, record_stride=10, seed=11))
@@ -721,6 +735,78 @@ def test_unwrap_is_numpy_unwrap_bit_for_bit(p):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize(
+    "mu, kappa, t_burn, initial",
+    [
+        (0.5, 1.0, 40.0, None),  # disordered
+        (2.0, 1.0, 40.0, None),  # u1
+        (1.0, 0.2, 120.0, None),  # u1xz2
+        (0.95, 1.0, 20.0, {"A_i": 1.0}),  # a transient: NonStationary
+    ],
+)
+def test_estimator_blocks_are_bit_identical_to_the_oracle(monkeypatch, mu, kappa, t_burn, initial):
+    # Blocks of the floor width with every remainder of n_traj below the
+    # floor (a last block that narrow joins the one before), and wider
+    # blocks with none, the narrowest and the widest remainder.
+    floor = sde._MIN_BLOCK
+    plans = [(floor, 2 * floor + r) for r in range(floor)]
+    plans += [(23, 2 * 23 + r) for r in (0, 1, floor - 1)]
+    cfg = config(t_burn=t_burn, t_sample=30.0, n_traj=max(n for _, n in plans),
+                 record_stride=2, seed=41)
+    full = integrate_trajectory(params(mu, kappa), cfg, initial=initial)
+    n_samples = full.A_i.shape[0]
+    for width, n_traj in plans:
+        monkeypatch.setattr(sde, "_BLOCK_BYTES", width * 16 * n_samples)
+        assert len(sde._blocks(n_samples, n_traj)) == 2
+        tr = dataclasses.replace(full, A_i=full.A_i[:, :n_traj].copy(),
+                                 A_s=full.A_s[:, :n_traj].copy())
+        for window in (None, 2.0):
+            got = _outcome(estimate_order_parameters, tr, window)
+            assert got == _outcome(estimator_oracle.estimate_order_parameters, tr, window)
+        for frame in ("static", "corotating"):
+            got = _outcome(estimate_quadrature_variances, tr, frame)
+            assert got == _outcome(estimator_oracle.estimate_quadrature_variances, tr, frame)
+
+
+@pytest.mark.parametrize("n_samples", [32, 2200, 10**6])
+def test_estimator_blocks_cover_the_columns_at_least_a_floor_wide(n_samples):
+    for n_traj in (2, 15, 16, 17, 31, 32, 33, 100, 1000, 1031):
+        blocks = sde._blocks(n_samples, n_traj)
+        assert (blocks[0].start, blocks[-1].stop) == (0, n_traj)
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        widths = [b.stop - b.start for b in blocks]
+        assert len(blocks) == 1 or min(widths) >= sde._MIN_BLOCK
+        # about _BLOCK_BYTES of complex samples, unless held at the floor
+        assert all(16 * n_samples * w < 2 * sde._BLOCK_BYTES for w in widths[:-1]
+                   if w > sde._MIN_BLOCK)
+
+
+def test_plan_counts_past_1e15_print_in_scientific_notation():
+    assert sde._count(10**15) == "1000000000000000"
+    assert sde._count(10**15 + 1) == "1.000e+15"
+    assert sde._count(123456789012345678) == "1.235e+17"
+    # past the float range, where float(n) would overflow
+    assert sde._count(10**400 - 1) == "1.000e+400"
+
+
+def test_check_plan_allocates_nothing_and_stops_past_numpys_limit():
+    p = params(0.5, 1.0)
+    # 10**10 steps of 8 lanes recorded every 1000th: 1.28 GB per recorded
+    # field, checked without allocating it
+    rows = [(p, config(dt=1e-9, t_burn=0.0, t_sample=10.0, n_traj=8, record_stride=1000))]
+    tracemalloc.start()
+    try:
+        sde.check_plan(rows)
+        assert tracemalloc.get_traced_memory()[1] < 10**5
+    finally:
+        tracemalloc.stop()
+    # every record of 10**8 lanes kept: 1.6e19 bytes, past np.intp
+    rows = [(p, config(dt=1e-9, t_burn=0.0, t_sample=10.0, n_traj=10**8))]
+    with pytest.raises(ParameterError, match=r"record buffers of shape \(10000000000, 100000000\) "
+                       r"cannot be allocated: a record buffer of 1\.600e\+19 bytes is past"):
+        sde.check_plan(rows)
+
+
 def _peak_planes(estimate, tr, plane):
     """Peak memory an estimator allocates beyond its input, in planes."""
     tracemalloc.start()
@@ -731,9 +817,9 @@ def _peak_planes(estimate, tr, plane):
         tracemalloc.stop()
 
 
-def test_estimators_hold_few_planes_at_once():
-    # A disordered ensemble of uncorrelated samples: the phases jump at
-    # about every other sample, the most work the unwrap can be given.
+def test_estimators_hold_few_planes_at_once(monkeypatch):
+    # Uncorrelated samples: the phases jump at about every other sample, the
+    # most work the unwrap can be given.
     n_samples, n_traj = 2000, 200
     rng = np.random.default_rng(5)
     A_i, A_s = (
@@ -741,10 +827,30 @@ def test_estimators_hold_few_planes_at_once():
         * 0.01
         for _ in range(2)
     )
-    p = params(0.5, 1.0)
-    tr = Trajectory(t=np.arange(1, n_samples + 1) * 0.02, A_i=A_i, A_s=A_s, A_P=None,
-                    c_i=None, c_s=None, f_i=None, f_s=None, params=p,
-                    config=config(t_sample=n_samples * 0.02, n_traj=n_traj))
     plane = n_samples * n_traj * 8
-    assert _peak_planes(estimate_order_parameters, tr, plane) <= 4.0
-    assert _peak_planes(estimate_quadrature_variances, tr, plane) <= 3.0
+
+    def peaks(mu, kappa, frame):
+        p = params(mu, kappa)
+        tr = Trajectory(t=np.arange(1, n_samples + 1) * 0.02, A_i=A_i, A_s=A_s, A_P=None,
+                        c_i=None, c_s=None, f_i=None, f_s=None, params=p,
+                        config=config(t_sample=n_samples * 0.02, n_traj=n_traj))
+        return (_peak_planes(estimate_order_parameters, tr, plane),
+                _peak_planes(lambda tr: estimate_quadrature_variances(tr, frame), tr, plane))
+
+    # At the default blocks, three to these 200 trajectories: (order,
+    # quadratures) for the disordered, u1 static and u1xz2 corotating routes.
+    # Before blocks they held 3.3 planes, and 2.0, 6.0 and 10.0.
+    limits = {(0.5, 1.0, "static"): (2.3, 0.9), (2.0, 1.0, "static"): (2.3, 3.3),
+              (1.0, 0.2, "corotating"): (2.3, 5.3)}
+    for case, (order_limit, quad_limit) in limits.items():
+        order, quad = peaks(*case)
+        assert order <= order_limit and quad <= quad_limit, (case, order, quad)
+    # At the floor width, blocks of 16 columns, what is left scales with the
+    # plane: the order estimator's one slope plane (lstsq's copy of it is
+    # not traced), and the corotating branch's.
+    monkeypatch.setattr(sde, "_BLOCK_BYTES", 0)
+    limits = {(0.5, 1.0, "static"): (1.5, 0.4), (2.0, 1.0, "static"): (1.5, 1.1),
+              (1.0, 0.2, "corotating"): (1.5, 1.7)}
+    for case, (order_limit, quad_limit) in limits.items():
+        order, quad = peaks(*case)
+        assert order <= order_limit and quad <= quad_limit, (case, order, quad)
