@@ -311,8 +311,8 @@ def _variance_report_at(args, mu: float, kappa: float, method: str):
     p = _params_at(args, mu, kappa)
     if phase is Phase.U1XZ2:
         return phase, variances_u1xz2(p)
-    sd = psd(p, steady_state(p), n_grid=64)
-    return phase, integrate_variances(sd)
+    # Variances need only psd's stability check and (A, D), not a grid.
+    return phase, integrate_variances(psd(p, steady_state(p), omega_grid=()))
 
 
 def _cmd_variances(args) -> int:

@@ -632,10 +632,11 @@ def check_samples(n_traj: int, n_samples: int, t=None, window: float | None = No
     than 2 round(window / dt_rec), dt_rec = t[1] - t[0]; with quadratures,
     estimate_quadrature_variances needs >= 32 samples.  A window that is not
     > 0 and finite, or not a finite number of samples wide, is a
-    ParameterError naming window.
+    ParameterError naming window; a cadence dt_rec that is not > 0 and
+    finite is a ParameterError naming t.
     """
     if window is not None and not 0 < window < math.inf:
-        _bad_window(f"must be > 0 and finite, got {window}")
+        _bad_input("window", f"must be > 0 and finite, got {window}")
     if n_traj < 2:
         need = f"ensemble estimates need >= 2 trajectories, got {n_traj}"
         raise InsufficientSamples(f"n_traj: {need}", [("n_traj", need)])
@@ -645,10 +646,13 @@ def check_samples(n_traj: int, n_samples: int, t=None, window: float | None = No
             need = f"need >= 16 samples, got {n_samples}"
         else:
             dt_rec = float(t[1] - t[0])
+            if not 0 < dt_rec < math.inf:
+                _bad_input("t", "record cadence t[1] - t[0] must be > 0 and finite, "
+                                f"got {dt_rec}")
             width = window / dt_rec
             if not math.isfinite(width):
-                _bad_window(f"must be a finite number of samples at cadence {dt_rec}, "
-                            f"got {window}")
+                _bad_input("window", f"must be a finite number of samples at cadence {dt_rec}, "
+                                     f"got {window}")
             m = int(round(width))
             if m < 1 or n_samples <= 2 * m:
                 need = (f"smoothing window {window} needs more than {2 * m} samples "
@@ -659,8 +663,8 @@ def check_samples(n_traj: int, n_samples: int, t=None, window: float | None = No
         raise InsufficientSamples(need, [("samples", need)])
 
 
-def _bad_window(message: str) -> None:
-    raise ParameterError(f"window: {message}", [("window", message)])
+def _bad_input(name: str, message: str) -> None:
+    raise ParameterError(f"{name}: {message}", [(name, message)])
 
 
 def check_sample_plan(params: SystemParams, config: SimConfig, quadratures: bool = False) -> None:

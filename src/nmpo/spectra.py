@@ -326,8 +326,9 @@ def integrate_variances(sd: SpectralData) -> VarianceReport:
     """Equal-time variances: the stationary covariance of the pair (A, D).
 
     Solves A C + C A^T + D = 0 for the pair (A, D) that sd carries, in the
-    embedded variables, and reads the cross-quadrature block; the stored
-    PSD grid is for inspection only.
+    embedded variables, and reads the cross-quadrature block.  No frequency
+    grid is read, so sd may come from psd(params, ss, omega_grid=()), which
+    still runs the stability check and builds (A, D).
     Marginal modes (see _marginal_rule) are removed with their real spectral projector
     P: the solve uses A - (A + gamma0) P, which moves them to -gamma0, and
     the projected noise (I - P) D (I - P)^T.  Quadratures touched by the
@@ -458,16 +459,16 @@ def variances_u1xz2(
 
     The co-rotating-frame covariance of integrate_variances, including the
     delta-induced (x+, y-) cross-correlation; no compact closed forms exist
-    here.  The soft squeezing direction in the (x+, y-) plane is the exact
-    minimum of the 2x2 quadratic form over the mixing angle, reported in
-    sigma_sq_scan / theta_sq.
+    here.  psd is called with an empty grid: only its stability check and
+    the pair (A, D) are used.  The soft squeezing direction in the (x+, y-)
+    plane is the exact minimum of the 2x2 quadratic form over the mixing
+    angle, reported in sigma_sq_scan / theta_sq.
     """
     if ss is None:
         ss = steady_state(params)
     if ss.phase is not Phase.U1XZ2:
         raise OutOfRegime(f"state is {ss.phase.value}, not the rotating broken phase")
-    sd = psd(params, ss, n_grid=64)
-    report = integrate_variances(sd)
+    report = integrate_variances(psd(params, ss, omega_grid=()))
     cov = report.covariance
     sxp = report.sigma_x_plus
     sym = report.sigma_y_minus

@@ -7,13 +7,15 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import pytest
 
 import sde_oracle
 import nmpo
-from nmpo import cli
+from nmpo import cli, spectra
 from nmpo.cli import main
+from nmpo.meanfield import Phase
 from nmpo.sde import integrate_trajectory
 
 SIM_FAST = ["--gammaP", "20", "--dt", "0.005"]
@@ -170,6 +172,51 @@ def test_variances_grid_through_threshold_uses_the_closed_forms(capsys):
     at_threshold = {r[0]: r for r in rows}["1"]
     assert at_threshold[2] == "disordered"
     assert at_threshold[-4:] == ["0", "1", "1", "0"]
+
+
+def _spy_psd(monkeypatch, n_grid=None):
+    """Route both bindings of psd (spectra's and cli's) through a spy that
+    records the size of each call's grid; with n_grid, every call evaluates
+    psd(params, ss, n_grid=n_grid) instead of the arguments it was given."""
+    real, sizes = spectra.psd, []
+
+    def spy(params, ss, *args, **kwargs):
+        sd = real(params, ss, n_grid=n_grid) if n_grid else real(params, ss, *args, **kwargs)
+        sizes.append(sd.omega.size)
+        return sd
+
+    monkeypatch.setattr(spectra, "psd", spy)
+    monkeypatch.setattr(cli, "psd", spy)
+    return sizes
+
+
+def test_variances_integrate_evaluates_no_psd_grid(capsys, monkeypatch):
+    # every point (disordered, threshold, u1, u1xz2, Markovian) takes only the
+    # stability check and (A, D) from psd
+    sizes = _spy_psd(monkeypatch)
+    rc, _, err = run(capsys, "variances", "--mu", "0:2:21", "--kappa", "0.2,0.5,1,inf",
+                     "--method", "integrate")
+    assert rc == 0, err
+    assert sizes == [0] * 84
+
+
+@pytest.mark.parametrize(
+    "mu, kappa",
+    [(0.5, 1.0), (1.0, 1.0), (0.4, 0.2), (2.0, 1.0), (0.9, 0.2), (0.5, math.inf), (2.0, math.inf)],
+    ids=["disordered", "threshold", "threshold-rotating", "u1", "u1xz2", "markov", "markov-u1"],
+)
+def test_variances_without_a_grid_equal_the_64_point_route(monkeypatch, mu, kappa):
+    args = cli._build_parser().parse_args(["variances", "--method", "integrate", "--nth", "0.3"])
+    with monkeypatch.context() as m:
+        sizes = _spy_psd(m, n_grid=64)
+        want_phase, want = cli._variance_report_at(args, mu, kappa, "integrate")
+    assert sizes == [64]
+    phase, got = cli._variance_report_at(args, mu, kappa, "integrate")
+    assert phase is want_phase
+    assert (got.sigma_sq_scan is not None) == (phase is Phase.U1XZ2)
+    # bit-equal: every field's repr, and the covariance's bytes (NaN included)
+    assert repr(replace(got, covariance=None)) == repr(replace(want, covariance=None))
+    assert got.covariance.tobytes() == want.covariance.tobytes()
 
 
 # === grid outputs =============================================================

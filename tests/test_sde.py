@@ -312,6 +312,16 @@ def test_order_estimator_window_must_be_a_finite_positive_width(window):
         assert [name for name, _ in info.value.violations] == ["window"]
 
 
+@pytest.mark.parametrize("t", [(0.0, 0.0), (0.01, 0.0), (math.nan, 0.0), (0.0, math.inf)])
+def test_order_estimator_cadence_must_be_finite_and_positive(t):
+    # equal, decreasing, NaN and infinite record times: the cadence is named,
+    # not a division by zero, a negative sample count or the window
+    with pytest.raises(ParameterError) as info:
+        sde.check_samples(4, 2000, t, 5.0)
+    assert type(info.value) is ParameterError
+    assert [name for name, _ in info.value.violations] == ["t"]
+
+
 def test_order_parameters_static_broken_phase():
     p = params(2.0, 1.0)
     tr = integrate_trajectory(p, config(t_sample=150.0, n_traj=48, record_stride=10, seed=11))
