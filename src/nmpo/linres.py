@@ -32,6 +32,7 @@ from .errors import (
     BracketFailure,
     EigensolverFailure,
     InconsistentSteadyState,
+    NumericsError,
     ParameterError,
 )
 from .meanfield import (
@@ -202,11 +203,15 @@ def build_diffusion(params: SystemParams, include_pump: bool) -> np.ndarray:
     the Markovian limit), s^2 = 2 g^2 / (gamma0 gammaP); unequal occupancies
     correlate the + and - members of each pair.  The baths are isotropic, so
     D is frame independent.  include_pump adds white noise on xP and yP;
-    psd and the stochastic integrator set it to Phase.broken.
+    psd and the stochastic integrator set it to Phase.broken.  NumericsError
+    when D is not finite: at a memory time so short that tau_r^2 underflows
+    or the bath noise strength overflows.
     """
     g0, s2 = params.gamma0, params.variance_scale
     if params.markovian:
         n, rows, scale = 6, (0, 1, 3, 4), s2 * g0
+    elif params.tau_r**2 == 0.0:
+        n, rows, scale = 10, (6, 7, 8, 9), math.inf
     else:
         n, rows, scale = 10, (6, 7, 8, 9), 4.0 * s2 * g0 / params.tau_r**2
     na = params.n_avg + 0.5
@@ -218,6 +223,10 @@ def build_diffusion(params: SystemParams, include_pump: bool) -> np.ndarray:
     d[xp, xm] = d[xm, xp] = d[yp, ym] = d[ym, yp] = scale * nd
     if include_pump:
         d[2, 2] = d[5, 5] = params.pump_noise_power
+    if not np.isfinite(d).all():
+        raise NumericsError(
+            f"diffusion not finite: bath noise strength {scale:.3e} at tau_r = {params.tau_r:.3e}"
+        )
     return d
 
 

@@ -188,15 +188,15 @@ def steady_row(
     be nowhere (steady_state_branch is the one-drive case).  Returns the
     grid indices of the states and the row; z2_branch = +1 and phi = 0.
     """
+    pump, rot = np.array(mu, dtype=float), np.zeros(np.shape(mu))
     if phase is None:
         broken = _broken(params.kappa)
         on = mu > critical_drive(params.kappa)
-        pump, rot = np.array(mu), np.zeros_like(mu)
         pump[on], rot[on] = _family(params, broken, mu[on])
         index = np.arange(mu.size)
         phases = tuple(broken if b else Phase.DISORDERED for b in on.tolist())
     else:
-        pump, rot = (np.broadcast_to(v, mu.shape) for v in _family(params, phase, mu))
+        pump[:], rot[:] = _family(params, phase, mu)
         index = np.flatnonzero(mu >= pump)
         mu, pump, rot = mu[index], pump[index], rot[index]
         phases = (phase,) * mu.size

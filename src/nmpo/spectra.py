@@ -129,37 +129,43 @@ def _check_response(m: np.ndarray, om: np.ndarray) -> None:
         )
 
 
-def susceptibility_at(params: SystemParams, ss: SteadyState, omega: float) -> np.ndarray:
-    """Response matrix Sigma~(omega) + i omega I at one real frequency.
+def susceptibility_at(a: np.ndarray, omega: float) -> np.ndarray:
+    """Response matrix Sigma~(omega) + i omega I of the embedded generator a
+    at one real frequency.
 
-    The Schur complement of the embedded generator onto the six physical
-    quadratures.  Raises SingularAtFrequency when the matrix is numerically
-    singular (gapless states at omega = 0, or exactly at a critical point);
-    the marginal-mode rule relies on this.
+    The Schur complement of a (linres.build_embedded_matrix(...).matrix)
+    onto the six physical quadratures.  Raises SingularAtFrequency when the
+    matrix is numerically singular (gapless states at omega = 0, or exactly
+    at a critical point); the marginal-mode rule relies on this.
     """
-    om, m, _ = _eliminate_memory(linres.build_embedded_matrix(params, ss).matrix, [omega])
+    om, m, _ = _eliminate_memory(a, [omega])
     _check_response(m, om)
     return m[0]
 
 
-def _marginal_rule(params: SystemParams, ss: SteadyState):
-    """Predicate on an eigenvalue (re, im): does its mode count as marginal?
+def _marginal_rule(a: np.ndarray, gamma0: float):
+    """Predicate on an eigenvalue (re, im) of a: does its mode count as marginal?
 
     Marginal needs both a real part within _MARGINAL_RE * gamma0 of zero and
-    a response matrix that is singular at the mode's frequency -im.  The
-    second condition keeps merely slow modes (a drive just below threshold)
-    finite.
+    a response matrix of a that is singular at the mode's frequency -im.
+    The second condition keeps merely slow modes (a drive just below
+    threshold) finite.  The test runs on the a the caller already holds,
+    once per distinct (re, im): the sorted Schur form asks about each
+    eigenvalue more than once.
     """
-    tol = _MARGINAL_RE * params.gamma0
+    tol = _MARGINAL_RE * gamma0
+    answers: dict[tuple[float, float], bool] = {}
 
     def is_marginal(re: float, im: float) -> bool:
         if abs(re) > tol:
             return False
-        try:
-            susceptibility_at(params, ss, -im)
-        except SingularAtFrequency:
-            return True
-        return False
+        if (re, im) not in answers:
+            try:
+                susceptibility_at(a, -im)
+                answers[re, im] = False
+            except SingularAtFrequency:
+                answers[re, im] = True
+        return answers[re, im]
 
     return is_marginal
 
@@ -214,16 +220,19 @@ def psd(
 ) -> SpectralData:
     """Hermitian PSD matrices on a symmetric frequency grid.
 
-    The steady state must be stable or marginal (see _marginal_rule);
-    gapless states are fine as long as the grid avoids omega = 0 exactly,
-    which the default even-count grid does.  Pump noise is on exactly when
+    The steady state must be stable or marginal; the marginal-mode rule
+    (_marginal_rule) tests the one generator A built here, which
+    SpectralData carries on.  Gapless states are fine as long as the grid
+    avoids omega = 0 exactly, which the default even-count grid does.  An
+    empty grid gives only the stability check and the pair (A, D), which is
+    all integrate_variances reads.  Pump noise is on exactly when
     the state's phase is broken, as in the stochastic integrator; the
     SpectralData records it.  The grid is evaluated as one (N, 6, 6) stack;
     SingularAtFrequency names its first singular frequency in grid order.
     """
     include_pump = ss.phase.broken
     em = linres.build_embedded_matrix(params, ss)
-    is_marginal = _marginal_rule(params, ss)
+    is_marginal = _marginal_rule(em.matrix, params.gamma0)
     for lam in linres.eigenspectrum(em).eigenvalues:
         if lam.real > linres.STABLE_TOL and not is_marginal(lam.real, lam.imag):
             raise OutOfRegime(
@@ -341,7 +350,7 @@ def integrate_variances(sd: SpectralData) -> VarianceReport:
 
     params, ss = sd.params, sd.ss
     a, d = sd.generator.matrix, sd.diffusion
-    proj, touched = _marginal_projector(a, _marginal_rule(params, ss))
+    proj, touched = _marginal_projector(a, _marginal_rule(a, params.gamma0))
     eye = np.eye(a.shape[0])
     keep = eye - proj
     full = solve_continuous_lyapunov(a - (a + params.gamma0 * eye) @ proj, -(keep @ d @ keep.T))

@@ -585,6 +585,20 @@ def test_numerical_failure_names_its_point_in_json(capsys):
     )
 
 
+@pytest.mark.parametrize("kappa", ["1e200", "1e160"])
+def test_bath_noise_overflow_exits_3(capsys, kappa):
+    # tau_r^2 underflows to 0 at 1e200; 4 s^2 gamma0 / tau_r^2 overflows at 1e160
+    rc, out, err = run(capsys, "variances", "--mu", "1.5", "--kappa", kappa,
+                       "--method", "integrate")
+    assert (rc, out) == (3, "")
+    diag = json.loads(err)
+    assert diag["error"] == "NumericsError"
+    assert diag["detail"] == (
+        f"variances at mu=1.5, kappa={float(kappa)}: "
+        f"diffusion not finite: bath noise strength inf at tau_r = {1 / float(kappa):.3e}"
+    )
+
+
 def _close(got, want):
     """Equal structure and text; floats equal to 1e-12."""
     if isinstance(want, dict):

@@ -14,6 +14,7 @@ import pytest
 import psd_oracle as oracle
 from nmpo import linres, spectra
 from nmpo.errors import ParameterError, SingularAtFrequency, SlowPumpWarning
+from nmpo.linres import build_embedded_matrix
 from nmpo.meanfield import Phase, critical_drive, steady_state
 from nmpo.model import SystemParams
 from nmpo.spectra import integrate_variances, psd, susceptibility_at
@@ -76,8 +77,9 @@ def test_psd_equals_the_frequency_loop(state, grid):
 @pytest.mark.parametrize("state", STATES)
 def test_one_frequency_helpers_equal_the_frequency_loop(state):
     p, ss = at(state)
+    a = build_embedded_matrix(p, ss).matrix
     for w in (-3.0, 0.25, 17.0):
-        assert susceptibility_at(p, ss, w).tobytes() == oracle.susceptibility_at(p, ss, w).tobytes()
+        assert susceptibility_at(a, w).tobytes() == oracle.susceptibility_at(p, ss, w).tobytes()
         for pump in (None, True, False):
             omega, got = force_psd(p, ss, w, ss.phase.broken if pump is None else pump)
             assert got.tobytes() == oracle.diffusion_matrix(p, ss, w, pump).tobytes()
@@ -105,7 +107,7 @@ def test_singular_frequency_message_at_one_frequency():
     with pytest.raises(SingularAtFrequency) as want:
         oracle.susceptibility_at(p, ss, 0.0)
     with pytest.raises(SingularAtFrequency) as got:
-        susceptibility_at(p, ss, 0.0)
+        susceptibility_at(build_embedded_matrix(p, ss).matrix, 0.0)
     assert str(got.value) == str(want.value)
 
 
@@ -126,7 +128,7 @@ def test_bad_grid_is_a_parameter_error(state, grid):
 def test_one_frequency_helpers_reject_non_finite_omega(omega):
     p, ss = at("disordered")
     with pytest.raises(ParameterError):
-        susceptibility_at(p, ss, omega)
+        susceptibility_at(build_embedded_matrix(p, ss).matrix, omega)
     with pytest.raises(ParameterError):
         force_psd(p, ss, omega, False)
 
@@ -159,3 +161,68 @@ def test_integrate_variances_does_not_rebuild_the_generator(monkeypatch):
     assert ss.phase is Phase.DISORDERED
     want = spectra.variances_below_threshold(0.5, 1.0).sigma_x_plus
     assert rep.sigma_x_plus == pytest.approx(want, rel=1e-12)
+
+
+# (mu, kappa) over the disordered state, the threshold at kappa = 0.2, 1/2
+# and 1, the u1 and u1xz2 phases, kappa just off 1/2, and the Markovian limit.
+RULE_GRID = [
+    (mu, kappa)
+    for kappa in (0.2, 0.49, 0.5, 0.51, 1.0, math.inf)
+    for mu in (0.5, critical_drive(kappa), 1.5, 3.0)
+]
+
+
+@pytest.mark.parametrize("mu,kappa", RULE_GRID)
+def test_marginal_projector_on_the_prebuilt_generator_equals_the_rebuilding_rule(mu, kappa):
+    p = params(mu, kappa)
+    ss = steady_state(p)
+    a = build_embedded_matrix(p, ss).matrix
+    got_proj, got_touched = spectra._marginal_projector(a, spectra._marginal_rule(a, p.gamma0))
+    want_proj, want_touched = spectra._marginal_projector(a, oracle._marginal_rule(p, ss))
+    assert got_proj.tobytes() == want_proj.tobytes()
+    assert got_touched.tobytes() == want_touched.tobytes()
+    # The gauge mode above threshold and the critical modes on it are marginal.
+    assert bool(got_touched.any()) is (mu >= critical_drive(kappa))
+
+
+@pytest.mark.parametrize(
+    "mu,kappa", [(0.5, 1.0), (1.5, 1.0), (1.5, 0.2), (1.0, 0.5), (0.98, 0.49), (1.5, math.inf)]
+)
+def test_variances_point_builds_the_generator_once(monkeypatch, capsys, mu, kappa):
+    from nmpo import cli
+
+    # tests per candidate (re, im), one dict per rule made
+    builds, tests, rules = [], [], []
+    build, test, rule = linres.build_embedded_matrix, spectra.susceptibility_at, spectra._marginal_rule
+
+    def counting_build(*args):
+        builds.append(args)
+        return build(*args)
+
+    def counting_test(a, omega):
+        tests.append(omega)
+        return test(a, omega)
+
+    def counting_rule(a, gamma0):
+        is_marginal, per_candidate = rule(a, gamma0), {}
+        rules.append(per_candidate)
+
+        def spy(re, im):
+            before = len(tests)
+            out = is_marginal(re, im)
+            per_candidate[re, im] = per_candidate.get((re, im), 0) + len(tests) - before
+            return out
+
+        return spy
+
+    monkeypatch.setattr(linres, "build_embedded_matrix", counting_build)
+    monkeypatch.setattr(spectra, "susceptibility_at", counting_test)
+    monkeypatch.setattr(spectra, "_marginal_rule", counting_rule)
+    argv = ["variances", "--mu", str(mu), "--kappa", str(kappa), "--method", "integrate"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(builds) == 1
+    # psd's instability check and integrate_variances' Schur sort each hold one rule.
+    assert len(rules) == 2
+    assert all(n <= 1 for per_candidate in rules for n in per_candidate.values())
+    assert len(tests) == sum(n for per_candidate in rules for n in per_candidate.values())

@@ -12,6 +12,7 @@ import nmpo
 import spectral_oracle as oracle
 from nmpo import linres, spectra
 from nmpo.errors import OutOfRegime, ParameterError, SingularAtFrequency
+from nmpo.linres import build_embedded_matrix
 from nmpo.meanfield import Phase, steady_state, steady_state_branch
 from nmpo.model import SystemParams
 from nmpo.spectra import (
@@ -40,7 +41,7 @@ def params(mu, kappa, gammaP=100.0, nth=0.0, nth_p=None, nth_s=None):
 
 def test_susceptibility_diagonal_at_zero_drive():
     p = params(0.0, 1.0)
-    m = susceptibility_at(p, steady_state(p), 0.0)
+    m = susceptibility_at(build_embedded_matrix(p, steady_state(p)).matrix, 0.0)
     diag = np.diag(m)
     for q in (0, 1, 3, 4):
         assert diag[q] == pytest.approx(-0.5)
@@ -55,7 +56,7 @@ def test_susceptibility_singular_at_critical_zero_frequency():
     p = params(1.0, 0.5)
     ss = steady_state_branch(p, Phase.DISORDERED)
     with pytest.raises(SingularAtFrequency):
-        susceptibility_at(p, ss, 0.0)
+        susceptibility_at(build_embedded_matrix(p, ss).matrix, 0.0)
 
 
 def test_susceptibility_determinant_double_root():
@@ -63,16 +64,18 @@ def test_susceptibility_determinant_double_root():
     # sector; |det| scales as omega^4 near zero
     p = params(1.0, 0.5)
     ss = steady_state_branch(p, Phase.DISORDERED)
-    d1 = abs(np.linalg.det(susceptibility_at(p, ss, 1e-3)))
-    d2 = abs(np.linalg.det(susceptibility_at(p, ss, 2e-3)))
+    a = build_embedded_matrix(p, ss).matrix
+    d1 = abs(np.linalg.det(susceptibility_at(a, 1e-3)))
+    d2 = abs(np.linalg.det(susceptibility_at(a, 2e-3)))
     assert d2 / d1 == pytest.approx(16.0, rel=0.05)
 
 
 def test_susceptibility_markovian_frequency_dependence_trivial():
     p = params(0.5, math.inf)
     ss = steady_state(p)
-    m1 = susceptibility_at(p, ss, 0.3) - 1j * 0.3 * np.eye(6)
-    m2 = susceptibility_at(p, ss, 1.7) - 1j * 1.7 * np.eye(6)
+    a = build_embedded_matrix(p, ss).matrix
+    m1 = susceptibility_at(a, 0.3) - 1j * 0.3 * np.eye(6)
+    m2 = susceptibility_at(a, 1.7) - 1j * 1.7 * np.eye(6)
     assert np.allclose(m1, m2, atol=1e-14)
 
 
@@ -222,9 +225,10 @@ ORACLE_POINTS = [
 def test_schur_complements_match_frequency_domain_forms(mu, kappa, extra):
     p = params(mu, kappa, **extra)
     ss = steady_state(p)
+    a = build_embedded_matrix(p, ss).matrix
     for w in (-3.0, -0.4, 0.1, 0.77, 5.0):
         chi_inv = oracle.drift_freq(p, ss, w) + 1j * w * np.eye(6)
-        assert np.max(np.abs(susceptibility_at(p, ss, w) - chi_inv)) < 1e-14
+        assert np.max(np.abs(susceptibility_at(a, w) - chi_inv)) < 1e-14
         for pump in (False, True):
             want = oracle.force_psd(p, ss, w, pump)
             got = diffusion_matrix(p, ss, w, include_pump=pump)

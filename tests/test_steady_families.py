@@ -88,3 +88,20 @@ def test_stable_row_phases_are_the_classified_phases(mus, kappa):
     index, row = steady_row(p, np.array(mus, dtype=float))
     assert index.tolist() == list(range(len(mus)))
     assert row.phase == tuple(classify_phase(mu, p.kappa) for mu in mus)
+
+
+@pytest.mark.parametrize(
+    "mu, kappa",
+    [(0, 0.2), (1, 0.2), (2, 0.2), (1, 1.0), (2, 1.0), (3, 0.5), (2, math.inf), (0, math.inf)],
+)
+def test_integer_drive_gives_the_float_drive_states(mu, kappa):
+    """An int mu (SystemParams keeps its type) must not truncate a family's
+    pump or rotation: every phase, u1xz2 at kappa = 0.2 included, gives the
+    state, or the error class, of the same float drive."""
+    p_int = SystemParams.from_kappa(1, 100, kappa, 0.01, mu)
+    p_float = SystemParams.from_kappa(1.0, 100.0, kappa, 0.01, float(mu))
+    assert isinstance(p_int.mu, int)
+    for phase in Phase:
+        got = outcome(lambda: steady_state_branch(p_int, phase))
+        assert got == outcome(lambda: steady_state_branch(p_float, phase)), phase
+    assert repr(steady_state(p_int)) == repr(steady_state(p_float))
