@@ -37,8 +37,8 @@ too narrow for numpy to release the GIL inside the step loop, the loop
 draws the block itself.  There is no option for it.
 Recorded samples go into preallocated buffers.  integrate_ensemble steps
 several rows together, such as the points of a kappa sweep: their lanes
-sit side by side and the per-row values (tau_r, OU decay, noise
-amplitudes) are lane vectors.  integrate_trajectory is the one-row case.
+sit side by side and the per-row values (tau_r, the drive mu, OU decay,
+noise amplitudes) are lane vectors.  integrate_trajectory is the one-row case.
 Every elementwise expression keeps a fixed operand order, so identical
 (seed, config, params) give bit-identical output whether a row runs alone
 or in an ensemble.
@@ -148,6 +148,8 @@ class SimConfig:
                                       f"got {span}"))
         if self.n_traj < 1:
             bad.append(("n_traj", f"must be >= 1, got {self.n_traj}"))
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            bad.append(("seed", f"must be a non-negative integer, got {self.seed!r}"))
         if self.scheme not in SCHEMES:
             bad.append(("scheme", f"must be one of {SCHEMES}, got {self.scheme!r}"))
         if self.record_stride < 1:
@@ -214,7 +216,9 @@ def lockstep_key(params: SystemParams, config: SimConfig) -> tuple:
 
     The key holds everything the shared step loop treats as one value: the
     step plan, the scheme, the noise switch, the recorded fields, whether
-    the row has memory, and the rates and drive that enter the drift.
+    the row has memory, and the rates gamma0 and gammaP.  The drive mu is
+    not in the key: like tau_r it is a lane value, so rows that differ only
+    in mu share a loop.
     """
     dt = config.dt
     return (
@@ -228,7 +232,6 @@ def lockstep_key(params: SystemParams, config: SimConfig) -> tuple:
         params.markovian,
         params.gamma0,
         params.gammaP,
-        params.mu,
     )
 
 
@@ -398,12 +401,12 @@ def _integrate(rows, initials) -> list[Trajectory]:
         return []
     if len({lockstep_key(p, c) for p, c in rows}) > 1:
         raise ParameterError(
-            "rows differ in step plan, scheme, noise, recorded fields, memory or drift "
-            "parameters and cannot be integrated in lockstep",
+            "rows differ in step plan, scheme, noise, recorded fields, memory or rates "
+            "and cannot be integrated in lockstep",
             [("rows", "not lockstep-compatible")],
         )
     params, config = rows[0]
-    g0, gp, mu, dt = params.gamma0, params.gammaP, params.mu, config.dt
+    g0, gp, dt = params.gamma0, params.gammaP, config.dt
     markov = params.markovian
     heun = config.scheme == "stochastic-heun"
     noise = config.noise
@@ -423,6 +426,7 @@ def _integrate(rows, initials) -> list[Trajectory]:
         starts = [_start_row(p, c, init) for (p, c), init in zip(rows, initials)]
         x = np.concatenate([s.x for s in starts], axis=1)
         tau = np.repeat([p.tau_r for p, _ in rows], sizes)
+        mu = np.repeat([complex(p.mu) for p, _ in rows], sizes)
         decay = np.repeat([s.decay for s in starts], sizes)
         # White noise drives A_i, A_s, A_P when Markovian and A_P only with
         # memory; rows without pump noise get exact zeros there.
@@ -697,6 +701,13 @@ def _blocks(n_samples: int, n_traj: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n_traj])]
 
 
+def _ensemble(per_traj: np.ndarray, scale: float = 1.0) -> tuple[float, float]:
+    """The ensemble mean of a per-trajectory vector and its ddof = 1
+    standard error, each divided by scale (exact at the default 1)."""
+    return (float(per_traj.mean()) / scale,
+            float(per_traj.std(ddof=1) / math.sqrt(per_traj.size)) / scale)
+
+
 def _unwrap(p: np.ndarray) -> np.ndarray:
     """np.unwrap(p, axis=0), bit for bit, with less work and memory.
 
@@ -785,19 +796,14 @@ def estimate_order_parameters(tr: Trajectory, window: float | None = None) -> Or
         rates -= rates.mean(axis=0, keepdims=True)
         v_per_traj[cols] = np.square(rates, out=rates).mean(axis=0)
 
-    amp_mean = float(amp_per_traj.mean())
-    amp_se = float(amp_per_traj.std(ddof=1) / math.sqrt(n_traj))
+    amp_mean, amp_se = _ensemble(amp_per_traj)
     mags = np.abs(slopes)
-    mean_mag = float(mags.mean())
-    locked = mean_mag > 0 and float(mags.min()) > 0.5 * mean_mag
-    if locked:
-        delta_est = mean_mag
-        delta_se = float(mags.std(ddof=1) / math.sqrt(n_traj))
-    else:
-        delta_est = abs(float(slopes.mean()))
-        delta_se = float(slopes.std(ddof=1) / math.sqrt(n_traj))
-    var_phi_dot = float(v_per_traj.mean())
-    var_se = float(v_per_traj.std(ddof=1) / math.sqrt(n_traj))
+    delta_est, delta_se = _ensemble(mags)
+    locked = delta_est > 0 and float(mags.min()) > 0.5 * delta_est
+    if not locked:
+        delta_est, delta_se = _ensemble(slopes)
+        delta_est = abs(delta_est)
+    var_phi_dot, var_se = _ensemble(v_per_traj)
 
     return OrderParameterEstimate(
         amp_mean=amp_mean,
@@ -873,28 +879,17 @@ def estimate_quadrature_variances(tr: Trajectory, frame: str = "static") -> Vari
             # (a +- b) / sqrt(2), divided in place.
             q = combine[lab[1]](*parts[lab[0]])
             q /= math.sqrt(2.0)
-            v = var[lab]
-            v[0, cols] = q.var(axis=0)
-            v[1, cols] = q[:half].var(axis=0)
-            v[2, cols] = q[half:].var(axis=0)
+            for v, part in zip(var[lab], (q, q[:half], q[half:])):
+                v[cols] = part.var(axis=0)
 
-    norm = params.thermal_variance
-    values, stderr = {}, {}
-    for lab in ("x+", "x-", "y+", "y-"):
-        if lab not in var:
-            values[lab] = stderr[lab] = math.inf
-            continue
-        v_traj, v1, v2 = var[lab]
-        val = float(v_traj.mean()) / norm
-        se = float(v_traj.std(ddof=1) / math.sqrt(n_traj)) / norm
-        m1, m2 = v1.mean() / norm, v2.mean() / norm
-        s1 = v1.std(ddof=1) / math.sqrt(n_traj) / norm
-        s2e = v2.std(ddof=1) / math.sqrt(n_traj) / norm
-        if abs(m1 - m2) > 3.0 * math.hypot(s1, s2e):
+    values = dict.fromkeys(("x+", "x-", "y+", "y-"), math.inf)
+    stderr = dict(values)
+    for lab, v_lab in var.items():
+        whole, (m1, s1), (m2, s2) = (_ensemble(v, params.thermal_variance) for v in v_lab)
+        if abs(m1 - m2) > 3.0 * math.hypot(s1, s2):
             raise NonStationary(
                 f"{lab}: first/second-half variances {m1:.4g} vs {m2:.4g} "
                 f"differ by more than 3 combined standard errors"
             )
-        values[lab] = val
-        stderr[lab] = se
+        values[lab], stderr[lab] = whole
     return _make_report(values, params.n_avg, stderr=stderr)

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -344,7 +345,9 @@ def integrate_variances(sd: SpectralData) -> VarianceReport:
     range of P (the gauge quadrature x- above threshold, the amplified pair
     on the boundary) are flagged divergent: inf on the diagonal of
     covariance, NaN in their off-diagonal entries.  A negative variance
-    of a reported quadrature is a failed solve and raises NumericsError.
+    of a reported quadrature is a failed solve and raises NumericsError, as
+    does a RuntimeWarning from the solve (scipy perturbs the coefficients
+    when an eigenvalue pair of the shifted A sums to about zero).
     """
     from scipy.linalg import solve_continuous_lyapunov
 
@@ -353,7 +356,13 @@ def integrate_variances(sd: SpectralData) -> VarianceReport:
     proj, touched = _marginal_projector(a, _marginal_rule(a, params.gamma0))
     eye = np.eye(a.shape[0])
     keep = eye - proj
-    full = solve_continuous_lyapunov(a - (a + params.gamma0 * eye) @ proj, -(keep @ d @ keep.T))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            full = solve_continuous_lyapunov(a - (a + params.gamma0 * eye) @ proj,
+                                             -(keep @ d @ keep.T))
+        except RuntimeWarning as warning:
+            raise NumericsError(f"Lyapunov solve warned: {warning}") from warning
     if not np.all(np.isfinite(full)):
         raise NumericsError("Lyapunov solve returned a non-finite covariance")
 

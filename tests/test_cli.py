@@ -599,6 +599,23 @@ def test_bath_noise_overflow_exits_3(capsys, kappa):
     )
 
 
+def test_perturbed_lyapunov_solve_exits_3_with_one_stderr_line():
+    # scipy perturbs the solve's coefficients here and warns; the perturbed
+    # covariance has sigma x+ = sigma y- = inf, where the closed forms give
+    # 0.667 and 0.5.  The warning must not reach stderr beside the diagnostic.
+    code = ("import sys, nmpo.cli; sys.exit(nmpo.cli.main(['variances', '--mu', '1.5', "
+            "'--kappa', '1e155', '--method', 'integrate']))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nmpo.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (3, "")
+    [line] = done.stderr.splitlines()
+    diag = json.loads(line)
+    assert diag["error"] == "NumericsError"
+    assert diag["detail"].startswith(
+        "variances at mu=1.5, kappa=1e+155: Lyapunov solve warned: Input \"a\" has an eigenvalue"
+    )
+
+
 def _close(got, want):
     """Equal structure and text; floats equal to 1e-12."""
     if isinstance(want, dict):
@@ -780,6 +797,8 @@ def test_simulate_sweep_equals_per_row_oracle_runs(capsys, monkeypatch):
         # a later lockstep run whose record buffers numpy cannot allocate: the
         # default dt = tau_r / 25 at kappa = 1e200 gives another run
         ("1,1e200", ("--t-sample", "20", "--n-traj", "20"), "ParameterError"),
+        # a seed numpy's generator rejects: a violation naming seed
+        ("1", (*SIM_FAST, "--seed", "-1"), "ParameterError"),
     ],
 )
 def test_simulate_checks_every_row_before_integrating(capsys, monkeypatch, kappa, extra, error):
@@ -793,6 +812,8 @@ def test_simulate_checks_every_row_before_integrating(capsys, monkeypatch, kappa
     diag = diagnostic(err)
     assert diag["error"] == error
     assert diag["violations"]
+    if "--seed" in extra:
+        assert [f for f, _ in diag["violations"]] == ["seed"]
 
 
 @pytest.mark.parametrize(
