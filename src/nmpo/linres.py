@@ -204,16 +204,26 @@ def build_diffusion(params: SystemParams, include_pump: bool) -> np.ndarray:
     correlate the + and - members of each pair.  The baths are isotropic, so
     D is frame independent.  include_pump adds white noise on xP and yP;
     psd and the stochastic integrator set it to Phase.broken.  NumericsError
-    when D is not finite: at a memory time so short that tau_r^2 underflows
-    or the bath noise strength overflows.
+    when a noise strength is outside the float range: s^2 or the pump noise
+    power (SystemParams), a bath noise strength that underflows to 0 (at a
+    memory time so long that tau_r^2 overflows), or a D that is not finite
+    (at a memory time so short that tau_r^2 underflows, or where the bath
+    noise strength overflows).
     """
     g0, s2 = params.gamma0, params.variance_scale
     if params.markovian:
         n, rows, scale = 6, (0, 1, 3, 4), s2 * g0
-    elif params.tau_r**2 == 0.0:
-        n, rows, scale = 10, (6, 7, 8, 9), math.inf
     else:
-        n, rows, scale = 10, (6, 7, 8, 9), 4.0 * s2 * g0 / params.tau_r**2
+        try:
+            tau2 = params.tau_r**2
+        except OverflowError:
+            tau2 = math.inf
+        n, rows = 10, (6, 7, 8, 9)
+        scale = math.inf if tau2 == 0.0 else 4.0 * s2 * g0 / tau2
+    if scale == 0.0:
+        raise NumericsError(
+            f"bath noise strength underflows to 0 at tau_r = {params.tau_r:.3e}, s^2 = {s2:.3e}"
+        )
     na = params.n_avg + 0.5
     nd = 0.5 * (params.n_th_i - params.n_th_s)
     d = np.zeros((n, n))

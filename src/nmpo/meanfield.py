@@ -219,16 +219,21 @@ def row_residuals(params: SystemParams, row: SteadyRow) -> np.ndarray:
     # gamma~(-rot); the counter-rotating signal mode picks up gamma~(+rot).
     g_i = kernel_freq(params, -rot)
     g_s = kernel_freq(params, +rot)
-    res_i = 0.5 * (-g_i * a_i + 1j * g0 * np.conj(a_s) * a_p) - 1j * rot * a_i
-    res_s = 0.5 * (-g_s * a_s + 1j * g0 * np.conj(a_i) * a_p) + 1j * rot * a_s
-    res_p = 0.5 * (-gp * a_p + 1j * gp * (a_i * a_s + mu))
-    # hypot is the modulus Python takes; numpy's complex abs may differ.
-    # The pump terms grow with the drive, so their residual is taken
-    # relative to gammaP max(1, mu).
-    out = np.hypot(res_i.real, res_i.imag) / g0
-    pump_scale = gp * np.maximum(1.0, mu)
-    for r in (np.hypot(res_s.real, res_s.imag) / g0, np.hypot(res_p.real, res_p.imag) / pump_scale):
-        out = np.where(r > out, r, out)  # max() as Python takes it, NaN included
+    # With a drive or pump rate near the float range the terms and the pump
+    # scale below overflow.  No warning is raised for it: such a state is
+    # refused by the eigen-solve's resolution check (linres._generators).
+    with np.errstate(over="ignore", invalid="ignore"):
+        res_i = 0.5 * (-g_i * a_i + 1j * g0 * np.conj(a_s) * a_p) - 1j * rot * a_i
+        res_s = 0.5 * (-g_s * a_s + 1j * g0 * np.conj(a_i) * a_p) + 1j * rot * a_s
+        res_p = 0.5 * (-gp * a_p + 1j * gp * (a_i * a_s + mu))
+        # hypot is the modulus Python takes; numpy's complex abs may differ.
+        # The pump terms grow with the drive, so their residual is taken
+        # relative to gammaP max(1, mu).
+        out = np.hypot(res_i.real, res_i.imag) / g0
+        pump_scale = gp * np.maximum(1.0, mu)
+        for r in (np.hypot(res_s.real, res_s.imag) / g0,
+                  np.hypot(res_p.real, res_p.imag) / pump_scale):
+            out = np.where(r > out, r, out)  # max() as Python takes it, NaN included
     return out
 
 

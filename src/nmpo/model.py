@@ -31,6 +31,7 @@ import numpy as np
 from .errors import (
     NegativeOccupancy,
     NonPositiveRate,
+    NumericsError,
     ParameterError,
     PumpNotFast,
     SlowPumpWarning,
@@ -116,8 +117,15 @@ class SystemParams:
 
     @property
     def variance_scale(self) -> float:
-        """s^2 = 2 g^2 / (gamma0 gammaP): quadrature variance per (n_avg + 1/2)."""
-        return 2.0 * self.g**2 / (self.gamma0 * self.gammaP)
+        """s^2 = 2 g^2 / (gamma0 gammaP): quadrature variance per (n_avg + 1/2).
+
+        NumericsError when it is outside the float range (see _noise_scale).
+        """
+        return _noise_scale(
+            "noise scale s^2 = 2 g^2/(gamma0 gammaP)",
+            lambda: 2.0 * self.g**2 / (self.gamma0 * self.gammaP),
+            g=self.g, gamma0=self.gamma0, gammaP=self.gammaP,
+        )
 
     @property
     def n_avg(self) -> float:
@@ -131,8 +139,15 @@ class SystemParams:
 
     @property
     def pump_noise_power(self) -> float:
-        """White-noise power per pump quadrature, 2 g^2 / gamma0^2 gammaP (n_th_P + 1/2)."""
-        return 2.0 * self.g**2 / self.gamma0**2 * self.gammaP * (self.n_th_P + 0.5)
+        """White-noise power per pump quadrature, 2 g^2 / gamma0^2 gammaP (n_th_P + 1/2).
+
+        NumericsError when it is outside the float range (see _noise_scale).
+        """
+        return _noise_scale(
+            "pump noise power 2 g^2/gamma0^2 gammaP (n_th_P + 1/2)",
+            lambda: 2.0 * self.g**2 / self.gamma0**2 * self.gammaP * (self.n_th_P + 0.5),
+            g=self.g, gamma0=self.gamma0, gammaP=self.gammaP, n_th_P=self.n_th_P,
+        )
 
     @property
     def timescales(self) -> tuple[float, float]:
@@ -150,6 +165,23 @@ class SystemParams:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SlowPumpWarning)
             return dataclasses.replace(self, **changes)
+
+
+def _noise_scale(name: str, compute, **inputs: float) -> float:
+    """compute(), a noise scale of valid parameters, when it is a positive
+    finite float.  Otherwise NumericsError naming the scale and the inputs
+    it is computed from: float ** raises OverflowError past the float range,
+    a denominator can underflow to 0, and a product can overflow to inf or
+    underflow to 0.  A scale in range is compute()'s value bit for bit.
+    """
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if 0.0 < value < math.inf:
+        return value
+    given = ", ".join(f"{k} = {v:.3e}" for k, v in inputs.items())
+    raise NumericsError(f"{name} is {value:.3e}, outside the float range, at {given}")
 
 
 def _caller_level() -> int:

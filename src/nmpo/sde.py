@@ -91,7 +91,7 @@ from .errors import (
     StepOverflow,
 )
 from .meanfield import Phase, classify_phase, steady_state
-from .model import SystemParams
+from .model import SystemParams, _noise_scale
 from .spectra import VarianceReport, _make_report
 
 SCHEMES = ("euler-maruyama", "stochastic-heun")
@@ -304,7 +304,11 @@ def _start_row(params: SystemParams, config: SimConfig, initial: dict | None) ->
         w_i = math.sqrt(s2 * g0 * (n_i + 0.5) * dt) if noise else 0.0
         w_s = math.sqrt(s2 * g0 * (n_s + 0.5) * dt) if noise else 0.0
         return _Row(rng, x, f, (w_i, w_s, w_p), 0.0, pump_noise)
-    c0 = 8.0 * params.g**2 / (g0**2 * gp * tau) if noise else 0.0
+    c0 = _noise_scale(
+        "coloured force variance 8 g^2/(gamma0^2 gammaP tau_r)",
+        lambda: 8.0 * params.g**2 / (g0**2 * gp * tau),
+        g=params.g, gamma0=g0, gammaP=gp, tau_r=tau,
+    ) if noise else 0.0
     ou_decay, eta_i = _ou_coefficients(c0 * (n_i + 0.5), dt, tau)
     _, eta_s = _ou_coefficients(c0 * (n_s + 0.5), dt, tau)
     return _Row(rng, x, f, (eta_i, eta_s, w_p), ou_decay, pump_noise)
@@ -329,8 +333,10 @@ def integrate_trajectory(
     initial may give starting values for any of A_i, A_s, A_P, c_i, c_s,
     f_i, f_s (scalar or per-trajectory); unspecified amplitudes start as a
     small seeded random perturbation, memory variables slaved (c = gamma0 A)
-    and forces at zero.  Raises StepOverflow on non-finite state.  This is
-    the one-row case of integrate_ensemble's step loop.
+    and forces at zero.  Raises StepOverflow on non-finite state, and
+    NumericsError, before any step, on a noise scale outside the float
+    range (model._noise_scale).  This is the one-row case of
+    integrate_ensemble's step loop.
     """
     return _integrate([(params, config)], [initial])[0]
 

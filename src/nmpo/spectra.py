@@ -84,13 +84,9 @@ def _h(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def _eliminate_memory(a: np.ndarray, omega) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(omega, Sigma~(omega) + i omega I, A_pm R) stacked over a frequency grid.
-
-    omega must be a 1-D array of finite frequencies (ParameterError
-    otherwise); the two stacks are (N, 6, 6) and (N, 6, n - 6).  The memory
-    block of a Markovian a is empty, so A_pm R is 6x0 and adds nothing.
-    """
+def _frequencies(omega) -> np.ndarray:
+    """omega as a 1-D float array; ParameterError unless it is one of finite
+    frequencies."""
     try:
         om = np.asarray(omega, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -103,6 +99,17 @@ def _eliminate_memory(a: np.ndarray, omega) -> tuple[np.ndarray, np.ndarray, np.
             f"with {np.count_nonzero(~np.isfinite(om))} non-finite",
             [("omega_grid", "must be 1-D and finite")],
         )
+    return om
+
+
+def _eliminate_memory(a: np.ndarray, omega) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(omega, Sigma~(omega) + i omega I, A_pm R) stacked over a frequency grid.
+
+    omega must be a 1-D array of finite frequencies (ParameterError
+    otherwise); the two stacks are (N, 6, 6) and (N, 6, n - 6).  The memory
+    block of a Markovian a is empty, so A_pm R is 6x0 and adds nothing.
+    """
+    om = _frequencies(omega)
     iw = 1j * om[:, None, None]
     feed = a[:6, 6:] @ np.linalg.inv(-iw * np.eye(a.shape[0] - 6) - a[6:, 6:])
     return om, a[:6, :6] + iw * np.eye(6) + feed @ a[6:, :6], feed
@@ -177,7 +184,9 @@ def _marginal_projector(a: np.ndarray, is_marginal) -> tuple[np.ndarray, np.ndar
 
     With the marginal block leading in the real Schur form a = Z T Z^T,
     T11 X - X T22 = -T12 gives P = Z [[I, -X], [0, 0]] Z^T, which (unlike
-    eigenvectors) stays real when the zero eigenvalue is defective.
+    eigenvectors) stays real when the zero eigenvalue is defective.  With
+    no marginal mode P is zero and the mask all False; with one, the mask
+    has at least the variable of largest weight.
     """
     from scipy.linalg import schur, solve_sylvester
 
@@ -225,8 +234,10 @@ def psd(
     (_marginal_rule) tests the one generator A built here, which
     SpectralData carries on.  Gapless states are fine as long as the grid
     avoids omega = 0 exactly, which the default even-count grid does.  An
-    empty grid gives only the stability check and the pair (A, D), which is
-    all integrate_variances reads.  Pump noise is on exactly when
+    empty grid (validated like any other) gives only the stability check
+    and the pair (A, D), which is all integrate_variances reads: no
+    frequency is evaluated, and omega and matrices are the empty (0,) and
+    (0, 6, 6) stacks.  Pump noise is on exactly when
     the state's phase is broken, as in the stochastic integrator; the
     SpectralData records it.  The grid is evaluated as one (N, 6, 6) stack;
     SingularAtFrequency names its first singular frequency in grid order.
@@ -243,7 +254,12 @@ def psd(
     if omega_grid is None:
         w = 30.0 * params.gamma0 + 3.0 * (params.gammaP if include_pump else params.gamma0)
         omega_grid = np.linspace(-w, w, max(2, n_grid))
-    om, m, feed = _eliminate_memory(em.matrix, omega_grid)
+    om = _frequencies(omega_grid)
+    if om.size == 0:
+        d = linres.build_diffusion(params, include_pump)
+        empty = np.empty((0, 6, 6), dtype=complex)
+        return SpectralData(om, empty, QUAD_LABELS, em.frame, params, ss, include_pump, em, d)
+    om, m, feed = _eliminate_memory(em.matrix, om)
     _check_response(m, om)
     d = linres.build_diffusion(params, include_pump)
     chi = np.linalg.inv(m)
@@ -338,12 +354,15 @@ def integrate_variances(sd: SpectralData) -> VarianceReport:
     Solves A C + C A^T + D = 0 for the pair (A, D) that sd carries, in the
     embedded variables, and reads the cross-quadrature block.  No frequency
     grid is read, so sd may come from psd(params, ss, omega_grid=()), which
-    still runs the stability check and builds (A, D).
+    runs only the stability check and builds (A, D).
     Marginal modes (see _marginal_rule) are removed with their real spectral projector
     P: the solve uses A - (A + gamma0) P, which moves them to -gamma0, and
-    the projected noise (I - P) D (I - P)^T.  Quadratures touched by the
-    range of P (the gauge quadrature x- above threshold, the amplified pair
-    on the boundary) are flagged divergent: inf on the diagonal of
+    the projected noise (I - P) D (I - P)^T.  Without a marginal mode (every
+    disordered point) P = 0 and the solve takes A and D as they are, which
+    is the projected pair bit for bit: A and D are finite with +0 zeros, and
+    products with I and 0 leave such entries unchanged.  Quadratures
+    touched by the range of P (the gauge quadrature x- above threshold, the
+    amplified pair on the boundary) are flagged divergent: inf on the diagonal of
     covariance, NaN in their off-diagonal entries.  A negative variance
     of a reported quadrature is a failed solve and raises NumericsError, as
     does a RuntimeWarning from the solve (scipy perturbs the coefficients
@@ -354,13 +373,14 @@ def integrate_variances(sd: SpectralData) -> VarianceReport:
     params, ss = sd.params, sd.ss
     a, d = sd.generator.matrix, sd.diffusion
     proj, touched = _marginal_projector(a, _marginal_rule(a, params.gamma0))
-    eye = np.eye(a.shape[0])
-    keep = eye - proj
+    if touched.any():
+        eye = np.eye(a.shape[0])
+        keep = eye - proj
+        a, d = a - (a + params.gamma0 * eye) @ proj, keep @ d @ keep.T
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
-            full = solve_continuous_lyapunov(a - (a + params.gamma0 * eye) @ proj,
-                                             -(keep @ d @ keep.T))
+            full = solve_continuous_lyapunov(a, -d)
         except RuntimeWarning as warning:
             raise NumericsError(f"Lyapunov solve warned: {warning}") from warning
     if not np.all(np.isfinite(full)):
@@ -480,7 +500,9 @@ def variances_u1xz2(
     here.  psd is called with an empty grid: only its stability check and
     the pair (A, D) are used.  The soft squeezing direction in the (x+, y-)
     plane is the exact minimum of the 2x2 quadratic form over the mixing
-    angle, reported in sigma_sq_scan / theta_sq.
+    angle, reported in sigma_sq_scan / theta_sq.  Where one of x+ and y- is
+    divergent, the minimum is the finite one at its own axis (theta = 0 for
+    x+, pi/2 for y-); where both are, it is inf and theta_sq is None.
     """
     if ss is None:
         ss = steady_state(params)
@@ -490,19 +512,23 @@ def variances_u1xz2(
     cov = report.covariance
     sxp = report.sigma_x_plus
     sym = report.sigma_y_minus
-    c = float(cov[0, 4]) / params.thermal_variance
-    half = 0.5 * (sxp + sym)
-    diff = 0.5 * (sxp - sym)
-    sig_min = half - math.hypot(diff, c)
-    # sigma(theta) = half + hypot(diff, c) cos(2 theta - phi0); minimum at
-    # 2 theta = phi0 + pi.
-    theta = (0.5 * (math.atan2(c, diff) + math.pi)) % math.pi
+    if report.divergent["x+"] or report.divergent["y-"]:
+        # A divergent axis enters every mixing angle but the other axis's.
+        sig_min, theta = min((sxp, 0.0), (sym, 0.5 * math.pi))
+    else:
+        c = float(cov[0, 4]) / params.thermal_variance
+        half = 0.5 * (sxp + sym)
+        diff = 0.5 * (sxp - sym)
+        sig_min = half - math.hypot(diff, c)
+        # sigma(theta) = half + hypot(diff, c) cos(2 theta - phi0); minimum at
+        # 2 theta = phi0 + pi.
+        theta = (0.5 * (math.atan2(c, diff) + math.pi)) % math.pi
     values = report.normalized()
     return _make_report(
         values,
         report.n_th,
         sigma_sq_scan=float(sig_min),
-        theta_sq=float(theta),
+        theta_sq=float(theta) if math.isfinite(sig_min) else None,
         covariance=cov,
     )
 

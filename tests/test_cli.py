@@ -599,6 +599,53 @@ def test_bath_noise_overflow_exits_3(capsys, kappa):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        # tau_r^2 overflows: 4 s^2 gamma0 / tau_r^2 is below the float range
+        (("--kappa", "1e-300", "--method", "integrate"), "bath noise strength underflows to 0 "
+         "at tau_r = 1.000e+300"),
+        # the same on the auto method's u1xz2 route
+        (("--kappa", "1e-160"), "bath noise strength underflows to 0 at tau_r = 1.000e+160"),
+        (("--gamma0", "1e-300", "--method", "integrate"), "at tau_r = 1.000e+300"),
+        # g^2 overflows in s^2
+        (("--kappa", "1", "--g", "1e300", "--method", "integrate"),
+         "noise scale s^2 = 2 g^2/(gamma0 gammaP) is inf, outside the float range, "
+         "at g = 1.000e+300"),
+    ],
+    ids=["kappa-1e-300", "kappa-1e-160-auto", "gamma0-1e-300", "g-1e300"],
+)
+def test_noise_strength_outside_the_float_range_exits_3(capsys, argv, named):
+    rc, out, err = run(capsys, "variances", "--mu", "0.5", *argv)
+    assert (rc, out) == (3, "")
+    [line] = err.splitlines()
+    diag = json.loads(line)
+    assert diag["error"] == "NumericsError"
+    assert diag["detail"].startswith("variances at mu=0.5, kappa=")
+    assert named in diag["detail"]
+
+
+def test_simulate_noise_scale_overflow_exits_3_and_names_it(capsys):
+    rc, out, err = run(capsys, "simulate", "--mu", "0.5", "--g", "1e300", *SIM_FAST,
+                       "--t-burn", "40", "--t-sample", "20", "--n-traj", "4")
+    assert (rc, out) == (3, "")
+    diag = diagnostic(err)
+    assert diag["error"] == "NumericsError"
+    assert diag["detail"].startswith("noise scale s^2 = 2 g^2/(gamma0 gammaP) is inf")
+    assert "cannot be allocated" not in diag["detail"]
+
+
+def test_rotating_phase_with_a_divergent_axis_writes_no_nan(capsys):
+    # y- is divergent at kappa = 1e-6: the mixing-angle minimum is x+'s, at theta = 0
+    rc, out, err = run(capsys, "variances", "--mu", "2", "--kappa", "1e-6", "--method",
+                       "integrate", "--format", "json")
+    assert (rc, err) == (0, "")
+    assert "nan" not in out
+    doc = json.loads(out)
+    assert doc["phase"] == "u1xz2" and doc["divergent"]["y-"]
+    assert (doc["sigma_sq_scan"], doc["theta_sq"]) == (doc["sigma"]["x+"], 0.0)
+
+
 def test_perturbed_lyapunov_solve_exits_3_with_one_stderr_line():
     # scipy perturbs the solve's coefficients here and warns; the perturbed
     # covariance has sigma x+ = sigma y- = inf, where the closed forms give

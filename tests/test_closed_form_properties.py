@@ -5,19 +5,23 @@ NumericsError because a finite variance overflows once scaled by
 (n_th + 1/2), or gives NaN-free output whose infinities (normalized and
 absolute) are flagged.  simulate's plan checks: every plan either exits 2
 with one JSON diagnostic before anything is integrated, or reaches the
-integrator."""
+integrator.  `variances --method integrate`: every input, drawn across the
+float range, exits 0 with NaN-free output whose infinities are flagged, or
+exits 2 or 3 with one JSON diagnostic; stderr holds nothing else but the
+slow-pump notice."""
 
 import contextlib
 import io
 import json
 import math
+import warnings
 from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nmpo import cli
-from nmpo.errors import NumericsError, ParameterError
+from nmpo.errors import NumericsError, ParameterError, SlowPumpWarning
 from nmpo.spectra import (
     VAR_LABELS,
     negativity_map,
@@ -119,3 +123,59 @@ def test_simulate_plan_exits_2_or_reaches_the_integrator(dt, t_burn, t_sample, s
     lines = err.getvalue().splitlines()
     assert len(lines) == 1, lines
     assert json.loads(lines[0])["error"]
+
+
+def mostly(valid):
+    """A value from valid four times in five, any float at all otherwise."""
+    return st.integers(0, 4).flatmap(lambda k: valid if k else ANY_FLOAT)
+
+
+DRIVE = mostly(st.floats(0.0, 3.0))
+MEMORY = st.sampled_from(["--kappa", "--tau-r"]).flatmap(
+    lambda option: st.tuples(st.just(option), mostly(st.floats(0.05, 20.0))))
+COUPLING = mostly(st.floats(1e-3, 1e3))
+GAMMA0 = mostly(st.floats(0.1, 2.0))
+GAMMA_P = mostly(st.floats(20.0, 1e3))
+NTH = mostly(st.floats(0.0, 10.0))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(DRIVE, MEMORY, COUPLING, GAMMA0, GAMMA_P, NTH, NTH, st.sampled_from(["csv", "json"]))
+# tau_r^2 overflows in the bath noise strength
+@example(0.5, ("--kappa", 1e-300), 0.01, 1.0, 100.0, 0.0, 0.0, "json")
+# g^2 overflows in the noise scale s^2
+@example(0.5, ("--kappa", 1.0), 1e300, 1.0, 100.0, 0.0, 0.0, "csv")
+# y- is divergent in the rotating phase: the mixing-angle minimum is x+'s
+@example(2.0, ("--kappa", 1e-6), 0.01, 1.0, 100.0, 0.0, 0.0, "json")
+def test_integrated_variances_exit_cleanly(mu, memory, g, gamma0, gamma_p, nth, nth_pump, fmt):
+    argv = ["variances", "--method", "integrate", f"--format={fmt}", f"--mu={mu!r}",
+            f"{memory[0]}={memory[1]!r}", f"--g={g!r}", f"--gamma0={gamma0!r}",
+            f"--gammaP={gamma_p!r}", f"--nth={nth!r}", f"--nth-pump={nth_pump!r}"]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = cli.main(argv)
+    assert [w for w in caught if not issubclass(w.category, SlowPumpWarning)] == [], argv
+    lines = [line for line in err.getvalue().splitlines() if " warning: --gammaP " not in line]
+    assert rc in (0, 2, 3), (argv, rc, err.getvalue())
+    if rc:
+        assert out.getvalue() == "", argv
+        assert len(lines) == 1, (argv, lines)
+        assert json.loads(lines[0])["error"]
+        return
+    assert lines == [], (argv, lines)
+    text = out.getvalue()
+    assert "nan" not in text, (argv, text)
+    if fmt == "json":
+        doc = json.loads(text)
+        for lab, value in doc["sigma"].items():
+            assert value != "inf" or doc["divergent"][lab], (argv, doc)
+        for lab, value in doc["absolute"].items():
+            assert value != "inf" or doc["divergent"][lab], (argv, doc)
+        assert doc["sigma_sq_scan"] != "inf" or all(doc["divergent"][q] for q in ("x+", "y-"))
+    else:
+        *_, header, row = text.splitlines()
+        values = dict(zip(header.split(","), row.split(",")))
+        for lab in ("x_plus", "x_minus", "y_plus", "y_minus"):
+            assert values["sigma_" + lab] != "inf" or values["div_" + lab] == "1", (argv, text)

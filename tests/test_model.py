@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from nmpo.errors import (
     NegativeOccupancy,
     NonPositiveRate,
+    NumericsError,
     ParameterError,
     PumpNotFast,
     SlowPumpWarning,
@@ -186,6 +187,38 @@ def test_derived_scales():
         1e-3,
         1.0,
     )
+
+
+def test_noise_scales_keep_their_formulas_bit_for_bit():
+    for g, gamma0, gamma_p, n_th_p in ((0.01, 1.0, 100.0, 0.0), (0.7, 0.3, 20.0, 2.5),
+                                       (1e150, 1.0, 100.0, 0.0), (1e-150, 1e-3, 1e-2, 1e9)):
+        p = SystemParams(gamma0=gamma0, gammaP=gamma_p, tau_r=1.0, g=g, mu=0.3, n_th_P=n_th_p)
+        assert p.variance_scale == 2.0 * g**2 / (gamma0 * gamma_p)
+        assert p.pump_noise_power == 2.0 * g**2 / gamma0**2 * gamma_p * (n_th_p + 0.5)
+
+
+@pytest.mark.parametrize(
+    "fields, scale, named",
+    [
+        # g^2 overflows: float ** raises
+        ({"g": 1e300}, "variance_scale", "g = 1.000e+300"),
+        ({"g": 1e300}, "pump_noise_power", "g = 1.000e+300"),
+        # 2 g^2 overflows to inf
+        ({"g": 1e154}, "variance_scale", "g = 1.000e+154"),
+        # g^2 underflows to 0
+        ({"g": 1e-200}, "variance_scale", "g = 1.000e-200"),
+        # gamma0^2 underflows to 0, a division by zero
+        ({"gamma0": 1e-170, "gammaP": 1e-160}, "pump_noise_power", "gamma0 = 1.000e-170"),
+        # the product overflows to inf
+        ({"g": 1.0, "n_th_P": 1e308}, "pump_noise_power", "n_th_P = 1.000e+308"),
+    ],
+)
+def test_noise_scale_outside_the_float_range_is_a_numerics_error(fields, scale, named):
+    p = SystemParams(**{"gamma0": 1.0, "gammaP": 100.0, "tau_r": 1.0, "g": 0.01, "mu": 0.3,
+                        **fields})
+    with pytest.raises(NumericsError, match="outside the float range") as err:
+        getattr(p, scale)
+    assert named in str(err.value)
 
 
 def test_derived_scales_are_not_fields():

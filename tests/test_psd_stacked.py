@@ -9,13 +9,14 @@ for bit, and a singular grid must fail with the same message.
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 import psd_oracle as oracle
 from nmpo import linres, spectra
-from nmpo.errors import ParameterError, SingularAtFrequency, SlowPumpWarning
+from nmpo.errors import OutOfRegime, ParameterError, SingularAtFrequency, SlowPumpWarning
 from nmpo.linres import build_embedded_matrix
-from nmpo.meanfield import Phase, critical_drive, steady_state
+from nmpo.meanfield import Phase, critical_drive, steady_state, steady_state_branch
 from nmpo.model import SystemParams
 from nmpo.spectra import integrate_variances, psd, susceptibility_at
 
@@ -113,8 +114,9 @@ def test_singular_frequency_message_at_one_frequency():
 
 @pytest.mark.parametrize(
     "grid",
-    [[math.nan, 1.0], [math.inf], [-1.0, -math.inf], [[1.0, 2.0], [3.0, 4.0]], 1.0, ["x"]],
-    ids=["nan", "inf", "minus-inf", "2-d", "scalar", "not-a-number"],
+    [[math.nan, 1.0], [math.inf], [-1.0, -math.inf], [[1.0, 2.0], [3.0, 4.0]], 1.0, ["x"],
+     np.empty((0, 3)), [[]]],
+    ids=["nan", "inf", "minus-inf", "2-d", "scalar", "not-a-number", "2-d-empty", "nested-empty"],
 )
 @pytest.mark.parametrize("state", ["disordered", "markov-disordered"])
 def test_bad_grid_is_a_parameter_error(state, grid):
@@ -133,12 +135,37 @@ def test_one_frequency_helpers_reject_non_finite_omega(omega):
         force_psd(p, ss, omega, False)
 
 
-@pytest.mark.parametrize("state", ["disordered", "markov-disordered"])
-def test_empty_grid_gives_an_empty_stack(state):
+def _no_spectral_pass(monkeypatch):
+    def fail(name):
+        return lambda *args, **kwargs: pytest.fail(f"empty grid called {name}")
+
+    monkeypatch.setattr(spectra, "_eliminate_memory", fail("_eliminate_memory"))
+    monkeypatch.setattr(spectra, "_check_response", fail("_check_response"))
+    monkeypatch.setattr(np.linalg, "inv", fail("np.linalg.inv"))
+
+
+@pytest.mark.parametrize("state", ["disordered", "u1", "u1xz2", "markov-disordered", "markov-u1"])
+@pytest.mark.parametrize("grid", [(), [], np.empty(0)], ids=["tuple", "list", "array"])
+def test_empty_grid_gives_an_empty_stack(monkeypatch, state, grid):
+    # The stability check of these states tests no marginal candidate, so
+    # nothing here needs a response matrix: the empty grid is the pair alone.
     p, ss = at(state)
-    sd = psd(p, ss, omega_grid=[])
-    assert sd.omega.shape == (0,)
+    want = psd(p, ss, n_grid=8)
+    _no_spectral_pass(monkeypatch)
+    sd = psd(p, ss, omega_grid=grid)
+    assert sd.generator.matrix.tobytes() == want.generator.matrix.tobytes()
+    assert sd.diffusion.tobytes() == want.diffusion.tobytes()
+    assert (sd.frame, sd.include_pump) == (want.frame, want.include_pump)
+    assert sd.omega.shape == (0,) and sd.omega.dtype == float
     assert sd.matrices.shape == (0, 6, 6) and sd.matrices.dtype == complex
+
+
+def test_empty_grid_still_refuses_an_unstable_state(monkeypatch):
+    p = params(2.0, 1.0)
+    ss = steady_state_branch(p, Phase.DISORDERED)
+    _no_spectral_pass(monkeypatch)
+    with pytest.raises(OutOfRegime):
+        psd(p, ss, omega_grid=())
 
 
 @pytest.mark.parametrize("state", ["disordered", "u1", "u1xz2", "markov-u1"])
@@ -226,3 +253,46 @@ def test_variances_point_builds_the_generator_once(monkeypatch, capsys, mu, kapp
     assert len(rules) == 2
     assert all(n <= 1 for per_candidate in rules for n in per_candidate.values())
     assert len(tests) == sum(n for per_candidate in rules for n in per_candidate.values())
+
+
+def _projected_covariance(sd):
+    """The solve of integrate_variances with the projector algebra spelled
+    out for P = 0: A - (A + gamma0 I) P and (I - P) D (I - P)^T."""
+    from scipy.linalg import solve_continuous_lyapunov
+
+    a, d = sd.generator.matrix, sd.diffusion
+    proj = np.zeros_like(a)
+    eye = np.eye(a.shape[0])
+    keep = eye - proj
+    full = solve_continuous_lyapunov(a - (a + sd.params.gamma0 * eye) @ proj,
+                                     -(keep @ d @ keep.T))
+    return full[:6, :6]
+
+
+# Disordered points, Markovian and with memory, gammaP from 20 to 1e3, and
+# unequal occupancies, which correlate the + and - members of each pair in
+# D (negatively where n_th_i < n_th_s).
+DISORDERED = [
+    (mu, kappa, gp, nth_i, nth_s)
+    for mu, kappa in ((0.0, 1.0), (0.5, 1.0), (0.5, 0.3), (0.19, 0.1), (0.5, 50.0),
+                      (0.3, math.inf), (0.999, math.inf), (critical_drive(0.7) * 0.99, 0.7))
+    for gp, nth_i, nth_s in ((100.0, 0.0, 0.0), (20.0, 0.1, 2.5), (1e3, 3.0, 0.4))
+]
+
+
+@pytest.mark.parametrize("mu,kappa,gp,nth_i,nth_s", DISORDERED)
+def test_covariance_without_a_marginal_mode_equals_the_projected_solve(mu, kappa, gp, nth_i,
+                                                                        nth_s):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SlowPumpWarning)
+        p = SystemParams.from_kappa(gamma0=1.0, gammaP=gp, kappa=kappa, g=0.01, mu=mu,
+                                    n_th_i=nth_i, n_th_s=nth_s, n_th_P=0.7)
+    ss = steady_state(p)
+    assert ss.phase is Phase.DISORDERED
+    sd = psd(p, ss, omega_grid=())
+    a = sd.generator.matrix
+    _, touched = spectra._marginal_projector(a, spectra._marginal_rule(a, p.gamma0))
+    assert not touched.any()
+    assert bool((sd.diffusion < 0).any()) is (nth_i < nth_s)
+    rep = integrate_variances(sd)
+    assert rep.covariance.tobytes() == _projected_covariance(sd).tobytes()

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -431,6 +432,31 @@ def test_rotating_variances_angle_scan():
     assert 0.0 <= rep.theta_sq < math.pi
     assert rep.sigma_sq_scan <= min(rep.sigma_x_plus, rep.sigma_y_minus) + 1e-12
     assert math.isinf(rep.sigma_x_minus) and rep.divergent["x-"]
+
+
+@pytest.mark.parametrize(
+    "divergent, want",
+    [(("y-",), ("x+", 0.0)), (("x+",), ("y-", 0.5 * math.pi)), (("x+", "y-"), (None, None))],
+    ids=["y-", "x+", "both"],
+)
+def test_angle_scan_with_a_divergent_axis(monkeypatch, divergent, want):
+    # A divergent axis leaves the other one, at its own angle, or inf.
+    p = params(1.0, 0.2)
+    rep = spectra.integrate_variances(psd(p, steady_state(p), omega_grid=()))
+    cov = rep.covariance.copy()
+    values = rep.normalized()
+    for lab in divergent:
+        q = spectra._VAR_INDEX[lab]
+        cov[q, :] = cov[:, q] = math.nan
+        cov[q, q] = values[lab] = math.inf
+    forced = spectra._make_report(values, rep.n_th, covariance=cov)
+    monkeypatch.setattr(spectra, "integrate_variances", lambda sd: forced)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = variances_u1xz2(p)
+    label, theta = want
+    assert got.sigma_sq_scan == (math.inf if label is None else values[label])
+    assert got.theta_sq == theta
 
 
 @pytest.mark.parametrize("branch", [1, -1])
