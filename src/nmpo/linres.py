@@ -24,6 +24,9 @@ coalesces; it exists for kappa <= 2.
 from __future__ import annotations
 
 import math
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,9 +209,10 @@ def build_diffusion(params: SystemParams, include_pump: bool) -> np.ndarray:
     psd and the stochastic integrator set it to Phase.broken.  NumericsError
     when a noise strength is outside the float range: s^2 or the pump noise
     power (SystemParams), a bath noise strength that underflows to 0 (at a
-    memory time so long that tau_r^2 overflows), or a D that is not finite
-    (at a memory time so short that tau_r^2 underflows, or where the bath
-    noise strength overflows).
+    memory time so long that tau_r^2 overflows), a nonzero entry of D below
+    the normal float range, or a D that is not finite (at a memory time so
+    short that tau_r^2 underflows, or where the bath noise strength
+    overflows).
     """
     g0, s2 = params.gamma0, params.variance_scale
     if params.markovian:
@@ -226,18 +230,80 @@ def build_diffusion(params: SystemParams, include_pump: bool) -> np.ndarray:
         )
     na = params.n_avg + 0.5
     nd = 0.5 * (params.n_th_i - params.n_th_s)
+    # The bath entries of D; the pump ones are normal (SystemParams).
+    bath, corr = scale * na, scale * nd
     d = np.zeros((n, n))
     for q in rows:
-        d[q, q] = scale * na
+        d[q, q] = bath
     xp, xm, yp, ym = rows
-    d[xp, xm] = d[xm, xp] = d[yp, ym] = d[ym, yp] = scale * nd
+    d[xp, xm] = d[xm, xp] = d[yp, ym] = d[ym, yp] = corr
     if include_pump:
         d[2, 2] = d[5, 5] = params.pump_noise_power
     if not np.isfinite(d).all():
         raise NumericsError(
             f"diffusion not finite: bath noise strength {scale:.3e} at tau_r = {params.tau_r:.3e}"
         )
+    for entry in (bath, corr):
+        if 0.0 < abs(entry) < sys.float_info.min:
+            raise NumericsError(
+                f"diffusion entry {entry:.3e} below the normal float range: bath noise "
+                f"strength {scale:.3e} at tau_r = {params.tau_r:.3e}, s^2 = {s2:.3e}"
+            )
     return d
+
+
+# A stack whose matrix count times n^3 reaches this is split between the
+# calling thread and the helper.  Measured on 2 vCPUs (numpy 2.4): waking
+# the idle helper costs 0.2-0.4 ms, and eigvals holds the GIL on stacks of
+# count x n <= 500, so the two halves of 100 10x10 matrices ran one after
+# the other.  The split lost at 100 10x10 matrices (1.1 -> 1.5 ms) and won
+# from 125 (1.4 -> 1.1 ms); at 6x6 it broke even at 201 matrices and won at
+# 601 (1.3 -> 1.0 ms).  At this value 10x10 stacks split from 150 matrices,
+# 6x6 ones from 695.
+_SPLIT_WORK = 150_000
+
+# The CPUs this process may run on.  Where the platform does not say, none
+# are counted, and every stack is solved on the calling thread.
+_allowed_cpus = getattr(os, "sched_getaffinity", lambda pid: ())
+
+# The helper: one thread, started by the executor at the first split and
+# kept.  A forked child does not have its parent's thread, so it makes an
+# executor of its own.
+_helper = ThreadPoolExecutor(1, thread_name_prefix="nmpo-eigvals")
+
+
+def _new_helper() -> None:
+    global _helper
+    _helper = ThreadPoolExecutor(1, thread_name_prefix="nmpo-eigvals")
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_helper)
+
+
+def _eigvals(mats: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvals(mats), on two cores when the stack is large.
+
+    With two or more CPUs allowed and a stack past _SPLIT_WORK, the helper
+    thread solves the even-indexed matrices while this one solves the odd
+    ones (eigvals releases the GIL); the halves are interleaved because the
+    cost per matrix rises with the drive.  Each matrix goes through the same
+    LAPACK call as in one whole-stack solve, so the values are the same bit
+    for bit; a split stack comes back complex.  The helper runs numpy only,
+    and its solve is waited for even when this thread's half fails.
+    """
+    count, n = mats.shape[:2]
+    if count < 2 or count * n**3 < _SPLIT_WORK or len(_allowed_cpus(0)) < 2:
+        return np.linalg.eigvals(mats)
+    even = _helper.submit(np.linalg.eigvals, mats[0::2])
+    try:
+        odd = np.linalg.eigvals(mats[1::2])
+    finally:
+        even.exception()
+    vals = np.empty((count, n), complex)
+    vals[0::2] = even.result()
+    vals[1::2] = odd
+    return vals
 
 
 def _spectra(mats: np.ndarray, gauge=None, gauge_tol: float = 0.0):
@@ -247,9 +313,13 @@ def _spectra(mats: np.ndarray, gauge=None, gauge_tol: float = 0.0):
     then descending imaginary part, and the largest real part of each row.
     Where gauge is set, the margin skips the gauge zero mode: the first
     eigenvalue of least modulus, when that modulus is below gauge_tol.
+    The eigen-solve of a large stack is split between this thread and one
+    persistent helper thread (_eigvals), with the same values bit for bit;
+    a one-matrix stack is solved here.  A LAPACK failure in either half is
+    an EigensolverFailure.
     """
     try:
-        vals = np.linalg.eigvals(mats)
+        vals = _eigvals(mats)
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(f"eigensolver did not converge: {exc}") from exc
     if not np.all(np.isfinite(vals)):
@@ -278,7 +348,9 @@ def row_spectra(params: SystemParams, row: SteadyRow, gauge_tol: float | None = 
     The stacked form of eigenspectrum(build_embedded_matrix(params, ss)):
     returns the (N, n) sorted eigenvalues and the margin (largest real
     part) of each state.  With gauge_tol, the margin of a state in a broken
-    phase leaves out its gauge zero mode (see _spectra).
+    phase leaves out its gauge zero mode (see _spectra).  A long row is
+    solved on two cores when two are allowed, with the same values bit for
+    bit (see _eigvals).
     """
     gauge = None
     if gauge_tol is not None:

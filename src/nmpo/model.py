@@ -168,17 +168,19 @@ class SystemParams:
 
 
 def _noise_scale(name: str, compute, **inputs: float) -> float:
-    """compute(), a noise scale of valid parameters, when it is a positive
+    """compute(), a noise scale of valid parameters, when it is a normal
     finite float.  Otherwise NumericsError naming the scale and the inputs
     it is computed from: float ** raises OverflowError past the float range,
     a denominator can underflow to 0, and a product can overflow to inf or
-    underflow to 0.  A scale in range is compute()'s value bit for bit.
+    underflow to 0 or to a subnormal, whose few bits of precision would
+    carry into every variance.  A scale in range is compute()'s value bit
+    for bit.
     """
     try:
         value = compute()
     except (OverflowError, ZeroDivisionError):
         value = math.inf
-    if 0.0 < value < math.inf:
+    if sys.float_info.min <= value < math.inf:
         return value
     given = ", ".join(f"{k} = {v:.3e}" for k, v in inputs.items())
     raise NumericsError(f"{name} is {value:.3e}, outside the float range, at {given}")

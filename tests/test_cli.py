@@ -625,6 +625,43 @@ def test_noise_strength_outside_the_float_range_exits_3(capsys, argv, named):
     assert named in diag["detail"]
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        # g^2 and s^2 are subnormal
+        (("--g", "1e-160"), "noise scale s^2 = 2 g^2/(gamma0 gammaP) is 1.976e-322, outside "
+         "the float range, at g = 1.000e-160"),
+        # g^2 is normal, s^2 = 2 g^2 / 100 is not
+        (("--g", "1e-155"), "noise scale s^2 = 2 g^2/(gamma0 gammaP) is 2.000e-312"),
+        # s^2 is normal, the bath noise strength 4 s^2 gamma0 / tau_r^2 is not
+        (("--kappa", "1e-154"), "diffusion entry 4.000e-314 below the normal float range: "
+         "bath noise strength 8.000e-314 at tau_r = 1.000e+154"),
+    ],
+    ids=["g-1e-160", "g-1e-155", "kappa-1e-154"],
+)
+def test_subnormal_noise_strength_exits_3(capsys, argv, named):
+    # A subnormal scale keeps a few bits: --g 1e-160 wrote sigma x+ = 0.55
+    # where 0.5333... is right, with exit 0.
+    rc, out, err = run(capsys, "variances", "--mu", "0.5", *argv, "--method", "integrate")
+    assert (rc, out) == (3, "")
+    [line] = err.splitlines()
+    diag = json.loads(line)
+    assert diag["error"] == "NumericsError"
+    assert diag["detail"].startswith("variances at mu=0.5, kappa=")
+    assert named in diag["detail"]
+
+
+def test_smallest_noise_scale_kept_is_exact(capsys):
+    # g = 1e-150: s^2 = 2e-302 is normal and the variances are the disordered ones
+    rc, out, err = run(capsys, "variances", "--mu", "0.5", "--g", "1e-150", "--method",
+                       "integrate", "--format", "json")
+    assert rc == 0
+    sigma = json.loads(out)["sigma"]
+    assert [sigma[q] for q in ("x+", "x-", "y+", "y-")] == [
+        0.5333333333333333, 2.6666666666666634, 2.666666666666665, 0.5333333333333333
+    ]
+
+
 def test_simulate_noise_scale_overflow_exits_3_and_names_it(capsys):
     rc, out, err = run(capsys, "simulate", "--mu", "0.5", "--g", "1e300", *SIM_FAST,
                        "--t-burn", "40", "--t-sample", "20", "--n-traj", "4")

@@ -10,10 +10,12 @@ from nmpo.errors import (
     BracketFailure,
     EigensolverFailure,
     InconsistentSteadyState,
+    NumericsError,
     ParameterError,
 )
 from nmpo.linres import (
     EmbeddedMatrix,
+    build_diffusion,
     build_embedded_matrix,
     disordered_eigenvalues_closed_form,
     eigenflow_sweep,
@@ -316,3 +318,21 @@ def test_eigenflow_double_root_at_coincidence_point():
 def test_eigenflow_markovian_has_no_exceptional_point():
     res = eigenflow_sweep(math.inf, np.linspace(0.0, 0.8, 5), phases=(Phase.DISORDERED,))
     assert res.mu_ep is None
+
+
+@pytest.mark.parametrize(
+    "kappa, n_th_s, entry",
+    [
+        # the bath noise strength 4 s^2 gamma0 / tau_r^2 is subnormal on the diagonal
+        (1e-154, 0.0, "4.000e-314"),
+        # it is normal, but the +- correlation it carries is subnormal
+        (1e-150, 2.0**-40, "-3.638e-318"),
+    ],
+)
+def test_a_subnormal_diffusion_entry_is_a_numerics_error(kappa, n_th_s, entry):
+    p = params(0.5, kappa).replace(n_th_s=n_th_s)
+    with pytest.raises(NumericsError, match=f"^diffusion entry {entry} below the normal float"):
+        build_diffusion(p, include_pump=False)
+    # the same memory time with equal occupancies has no correlation entry
+    if n_th_s:
+        assert build_diffusion(p.replace(n_th_s=0.0), include_pump=False)[6, 7] == 0.0

@@ -207,6 +207,9 @@ def test_noise_scales_keep_their_formulas_bit_for_bit():
         ({"g": 1e154}, "variance_scale", "g = 1.000e+154"),
         # g^2 underflows to 0
         ({"g": 1e-200}, "variance_scale", "g = 1.000e-200"),
+        # g^2 is normal, 2 g^2 / (gamma0 gammaP) a subnormal
+        ({"g": 1e-155}, "variance_scale", "g = 1.000e-155"),
+        ({"g": 1e-155, "gamma0": 1e3, "gammaP": 1e5}, "pump_noise_power", "g = 1.000e-155"),
         # gamma0^2 underflows to 0, a division by zero
         ({"gamma0": 1e-170, "gammaP": 1e-160}, "pump_noise_power", "gamma0 = 1.000e-170"),
         # the product overflows to inf
