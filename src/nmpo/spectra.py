@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +76,11 @@ _MARGINAL_RE = 1e-6
 _TOUCH_FRAC = 1e-6
 # Scale above which the u1 closed forms divide out max(mu, kappa) to stay in range.
 _HUGE = 1e100
+# trsyl's info = 1: it perturbed the coefficients to solve (scipy's wording).
+_PERTURBED = (
+    'Input "a" has an eigenvalue pair whose sum is very close to or exactly zero. '
+    "The solution is obtained via perturbing the coefficients."
+)
 
 
 def _h(m: np.ndarray) -> np.ndarray:
@@ -178,28 +182,42 @@ def _marginal_rule(a: np.ndarray, gamma0: float):
     return is_marginal
 
 
-def _marginal_projector(a: np.ndarray, is_marginal) -> tuple[np.ndarray, np.ndarray]:
-    """Real spectral projector P onto the marginal modes of a, and a mask of
-    the variables its range touches.
+def _marginal_schur(a: np.ndarray, is_marginal):
+    """(T, Z, k, X, touched): the one ordered real Schur form of a that the
+    variances route derives everything from.
 
-    With the marginal block leading in the real Schur form a = Z T Z^T,
-    T11 X - X T22 = -T12 gives P = Z [[I, -X], [0, 0]] Z^T, which (unlike
-    eigenvectors) stays real when the zero eigenvalue is defective.  With
-    no marginal mode P is zero and the mask all False; with one, the mask
-    has at least the variable of largest weight.
+    a = Z T Z^T with the k marginal eigenvalues leading, so T11 = T[:k, :k]
+    holds them and T22 = T[k:, k:] the rest.  X (k x (n - k)) solves
+    T11 X - X T22 = -T12 with one trsyl on the blocks T already has; then
+    [[I, X], [0, I]] block-diagonalizes T and P = Z [[I, -X], [0, 0]] Z^T is
+    the real spectral projector onto the marginal modes, which (unlike
+    eigenvectors) stays real when the zero eigenvalue is defective.
+    touched masks the variables the marginal subspace reaches: all False
+    when k = 0, else at least the variable of largest weight.
     """
-    from scipy.linalg import schur, solve_sylvester
+    from scipy.linalg import lapack, schur
 
     try:
         t, z, k = schur(a, output="real", sort=is_marginal)
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(f"ordered Schur form failed: {exc}") from exc
+    n = a.shape[0]
     if k == 0:
-        return np.zeros_like(a), np.zeros(a.shape[0], dtype=bool)
-    x = solve_sylvester(t[:k, :k], -t[k:, k:], -t[:k, k:])
-    proj = z[:, :k] @ (z[:, :k].T - x @ z[:, k:].T)
+        return t, z, 0, np.zeros((0, n)), np.zeros(n, dtype=bool)
+    # trsyl returns scale * X, with scale < 1 only where X would overflow.
+    x, scale, _ = lapack.dtrsyl(t[:k, :k], t[k:, k:], -t[:k, k:], isgn=-1)
     weight = np.linalg.norm(z[:, :k], axis=1)
-    return proj, weight > _TOUCH_FRAC * weight.max()
+    return t, z, k, x / scale, weight > _TOUCH_FRAC * weight.max()
+
+
+def _marginal_projector(a: np.ndarray, is_marginal) -> tuple[np.ndarray, np.ndarray]:
+    """Real spectral projector P onto the marginal modes of a, and the mask
+    of the variables its range touches: the P view of _marginal_schur.
+    With no marginal mode P is zero."""
+    _, z, k, x, touched = _marginal_schur(a, is_marginal)
+    if k == 0:
+        return np.zeros_like(a), touched
+    return z[:, :k] @ (z[:, :k].T - x @ z[:, k:].T), touched
 
 
 @dataclass(frozen=True)
@@ -355,34 +373,49 @@ def integrate_variances(sd: SpectralData) -> VarianceReport:
     embedded variables, and reads the cross-quadrature block.  No frequency
     grid is read, so sd may come from psd(params, ss, omega_grid=()), which
     runs only the stability check and builds (A, D).
-    Marginal modes (see _marginal_rule) are removed with their real spectral projector
-    P: the solve uses A - (A + gamma0) P, which moves them to -gamma0, and
-    the projected noise (I - P) D (I - P)^T.  Without a marginal mode (every
-    disordered point) P = 0 and the solve takes A and D as they are, which
-    is the projected pair bit for bit: A and D are finite with +0 zeros, and
-    products with I and 0 leave such entries unchanged.  Quadratures
-    touched by the range of P (the gauge quadrature x- above threshold, the
-    amplified pair on the boundary) are flagged divergent: inf on the diagonal of
-    covariance, NaN in their off-diagonal entries.  A negative variance
-    of a reported quadrature is a failed solve and raises NumericsError, as
-    does a RuntimeWarning from the solve (scipy perturbs the coefficients
-    when an eigenvalue pair of the shifted A sums to about zero).
-    """
-    from scipy.linalg import solve_continuous_lyapunov
 
-    params, ss = sd.params, sd.ss
+    One ordered real Schur form A = Z T Z^T (_marginal_schur, marginal block
+    of size k leading; see _marginal_rule) serves both the marginal
+    projector and a Bartels-Stewart solve in its basis: one trsyl of
+    T' Y + Y T'^T = F', and C = Z Y Z^T.  Marginal modes are removed with
+    their real spectral projector P: the solve is that of A - (A + gamma0) P,
+    which moves them to -gamma0, with the projected noise (I - P) D (I - P)^T.
+    In the Schur basis these are T' = [[-gamma0 I, X (T22 + gamma0 I)],
+    [0, T22]], still quasi-triangular, and F' = K Z^T (-D) Z K^T with
+    K = [[0, X], [0, I]].  Without a marginal mode (every disordered point)
+    T' = T and F' = Z^T (-D) Z, formed with scipy's products, so the
+    covariance is scipy's solve_continuous_lyapunov(A, -D) bit for bit.
+    trsyl's solution is divided by its overflow scale, so large couplings
+    keep their variances.  Quadratures touched by the range of P (the gauge
+    quadrature x- above threshold, the amplified pair on the boundary) are
+    flagged divergent: inf on the diagonal of covariance, NaN in their
+    off-diagonal entries.  A negative variance of a reported quadrature is a
+    failed solve and raises NumericsError, as does a non-finite covariance
+    and a solve whose coefficients trsyl had to perturb (an eigenvalue pair
+    of T' summing to about zero).
+    """
+    from scipy.linalg import lapack
+
+    params = sd.params
     a, d = sd.generator.matrix, sd.diffusion
-    proj, touched = _marginal_projector(a, _marginal_rule(a, params.gamma0))
-    if touched.any():
-        eye = np.eye(a.shape[0])
-        keep = eye - proj
-        a, d = a - (a + params.gamma0 * eye) @ proj, keep @ d @ keep.T
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        try:
-            full = solve_continuous_lyapunov(a, -d)
-        except RuntimeWarning as warning:
-            raise NumericsError(f"Lyapunov solve warned: {warning}") from warning
+    t, z, k, x, touched = _marginal_schur(a, _marginal_rule(a, params.gamma0))
+    f = z.T.dot((-d).dot(z))
+    if k:
+        n, g0 = a.shape[0], params.gamma0
+        t22 = t[k:, k:]
+        shifted = np.zeros_like(t)
+        shifted[:k, :k] = -g0 * np.eye(k)
+        shifted[:k, k:] = x @ (t22 + g0 * np.eye(n - k))
+        shifted[k:, k:] = t22
+        keep = np.zeros_like(t)
+        keep[:k, k:], keep[k:, k:] = x, np.eye(n - k)
+        t, f = shifted, keep @ f @ keep.T
+    y, scale, info = lapack.dtrsyl(t, t, f, tranb="T")
+    if info == 1:
+        raise NumericsError(f"Lyapunov solve warned: {_PERTURBED}")
+    # An overflowing quotient is caught as non-finite below.
+    with np.errstate(over="ignore"):
+        full = z.dot(y / scale).dot(z.T)
     if not np.all(np.isfinite(full)):
         raise NumericsError("Lyapunov solve returned a non-finite covariance")
 
