@@ -24,7 +24,6 @@ from .errors import (
 )
 from .linres import (
     EigenSpectrum,
-    EmbeddedMatrix,
     build_diffusion,
     build_embedded_matrix,
     disordered_eigenvalues_closed_form,
@@ -93,7 +92,7 @@ __all__ = [
     "mode_amplitudes", "steady_state_residual", "phase_diagram",
     "SteadyRow", "steady_row", "row_residuals", "check_grid",
     # linres
-    "EmbeddedMatrix", "EigenSpectrum", "build_embedded_matrix", "build_diffusion",
+    "EigenSpectrum", "build_embedded_matrix", "build_diffusion",
     "eigenspectrum", "disordered_eigenvalues_closed_form",
     "exceptional_point_drive", "locate_critical_drive", "eigenflow_sweep",
     "row_spectra",

@@ -54,22 +54,10 @@ from .meanfield import (
 )
 from .model import SystemParams
 
-LABELS_FULL = ("x+", "x-", "xP", "y+", "y-", "yP", "cx+", "cx-", "cy+", "cy-")
-LABELS_MARKOV = ("x+", "x-", "xP", "y+", "y-", "yP")
-
 # Residual ceiling for accepting a steady state as stationary.
 RESIDUAL_TOL = 1e-8
 # Spectral margin below which a state counts as stable.
 STABLE_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class EmbeddedMatrix:
-    """Real drift generator in embedded (memory-extended) variables."""
-
-    matrix: np.ndarray
-    labels: tuple[str, ...]
-    frame: str  # "static" or "corotating"
 
 
 @dataclass(frozen=True)
@@ -185,34 +173,35 @@ def _generators(params: SystemParams, row: SteadyRow) -> np.ndarray:
     return m
 
 
-def build_embedded_matrix(params: SystemParams, ss: SteadyState) -> EmbeddedMatrix:
-    """Real linear-response generator about ss.
+def build_embedded_matrix(params: SystemParams, ss: SteadyState) -> np.ndarray:
+    """Real linear-response generator A about ss, as an (n, n) float array.
 
-    Raises InconsistentSteadyState when ss is not stationary for params to
-    within RESIDUAL_TOL.  The quadratures are defined in the gauge of ss
-    (mean pump locked on the positive imaginary axis), in its co-rotating
-    frame.
+    n is 10, or 6 in the Markovian limit, in the variable order of the
+    module docstring.  The quadratures are defined in the gauge of ss (mean
+    pump locked on the positive imaginary axis), in its co-rotating frame:
+    the rotation rate z2_branch * delta sits in the entries that mix
+    (x+, y-) and (x-, y+), and is zero in a static frame.  Raises
+    InconsistentSteadyState when ss is not stationary for params to within
+    RESIDUAL_TOL.
     """
-    m = _generators(params, SteadyRow.of(params, ss))[0]
-    labels = LABELS_MARKOV if params.markovian else LABELS_FULL
-    return EmbeddedMatrix(m, labels, "corotating" if ss.z2_branch * ss.delta != 0.0 else "static")
+    return _generators(params, SteadyRow.of(params, ss))[0]
 
 
-def build_diffusion(params: SystemParams, include_pump: bool) -> np.ndarray:
-    """White-noise diffusion D paired with the embedded generator A.
+def build_diffusion(params: SystemParams, ss: SteadyState) -> np.ndarray:
+    """White-noise diffusion D paired with the generator A about ss.
 
     The coloured bath force is white noise 4 s^2 gamma0 / tau_r^2 (n_th + 1/2)
     on the memory variables (s^2 gamma0 (n_th + 1/2) on the quadratures in
     the Markovian limit), s^2 = 2 g^2 / (gamma0 gammaP); unequal occupancies
     correlate the + and - members of each pair.  The baths are isotropic, so
-    D is frame independent.  include_pump adds white noise on xP and yP;
-    psd and the stochastic integrator set it to Phase.broken.  NumericsError
-    when a noise strength is outside the float range: s^2 or the pump noise
-    power (SystemParams), a bath noise strength that underflows to 0 (at a
-    memory time so long that tau_r^2 overflows), a nonzero entry of D below
-    the normal float range, or a D that is not finite (at a memory time so
-    short that tau_r^2 underflows, or where the bath noise strength
-    overflows).
+    D is frame independent.  White pump noise of power pump_noise_power sits
+    on xP and yP exactly when ss.phase is broken, as in the stochastic
+    integrator; nothing else of ss is read.  NumericsError when a noise
+    strength is outside the float range: s^2 or the pump noise power
+    (SystemParams), a bath noise strength that underflows to 0 (at a memory
+    time so long that tau_r^2 overflows), a nonzero entry of D below the
+    normal float range, or a D that is not finite (at a memory time so short
+    that tau_r^2 underflows, or where the bath noise strength overflows).
     """
     g0, s2 = params.gamma0, params.variance_scale
     if params.markovian:
@@ -237,7 +226,7 @@ def build_diffusion(params: SystemParams, include_pump: bool) -> np.ndarray:
         d[q, q] = bath
     xp, xm, yp, ym = rows
     d[xp, xm] = d[xm, xp] = d[yp, ym] = d[ym, yp] = corr
-    if include_pump:
+    if ss.phase.broken:
         d[2, 2] = d[5, 5] = params.pump_noise_power
     if not np.isfinite(d).all():
         raise NumericsError(
@@ -335,9 +324,9 @@ def _spectra(mats: np.ndarray, gauge=None, gauge_tol: float = 0.0):
     return vals, vals[rows[:, 0], dropped_first.astype(int)].real
 
 
-def eigenspectrum(em: EmbeddedMatrix) -> EigenSpectrum:
-    """Dense spectrum of the embedded generator."""
-    vals, max_re = _spectra(em.matrix[None])
+def eigenspectrum(a: np.ndarray) -> EigenSpectrum:
+    """Dense spectrum of the square generator a (build_embedded_matrix)."""
+    vals, max_re = _spectra(a[None])
     max_re = float(max_re[0])
     return EigenSpectrum(tuple(vals[0].tolist()), max_re, max_re <= STABLE_TOL)
 

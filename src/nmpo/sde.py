@@ -115,6 +115,16 @@ _X_ROWS = {"A_i": 0, "A_s": 1, "A_P": 2, "c_i": 3, "c_s": 4}
 _F_ROWS = {"f_i": 0, "f_s": 1}
 
 
+def _bad_count(name: str, value) -> list[tuple[str, str]]:
+    """The violation of a count that must be an integer >= 1 (Python or
+    numpy, not bool), or none."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        return [(name, f"must be an integer >= 1, got {value!r}")]
+    if value < 1:
+        return [(name, f"must be >= 1, got {value}")]
+    return []
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Integration plan; times in the same units as the rate parameters.
@@ -146,14 +156,12 @@ class SimConfig:
                 if math.isinf(span / self.dt):
                     bad.append((name, f"must be a finite number of steps of dt = {self.dt}, "
                                       f"got {span}"))
-        if self.n_traj < 1:
-            bad.append(("n_traj", f"must be >= 1, got {self.n_traj}"))
+        bad += _bad_count("n_traj", self.n_traj)
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             bad.append(("seed", f"must be a non-negative integer, got {self.seed!r}"))
         if self.scheme not in SCHEMES:
             bad.append(("scheme", f"must be one of {SCHEMES}, got {self.scheme!r}"))
-        if self.record_stride < 1:
-            bad.append(("record_stride", f"must be >= 1, got {self.record_stride}"))
+        bad += _bad_count("record_stride", self.record_stride)
         for name in self.record_fields:
             if name not in RECORDABLE:
                 bad.append(("record_fields", f"unknown field {name!r}"))

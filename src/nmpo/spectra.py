@@ -60,7 +60,6 @@ from .errors import (
 from .meanfield import Phase, SteadyState, classify_phase, critical_drive, steady_state
 from .model import SystemParams, _check_memory_time
 
-QUAD_LABELS = ("x+", "x-", "xP", "y+", "y-", "yP")
 VAR_LABELS = ("x+", "x-", "y+", "y-")
 _VAR_INDEX = {"x+": 0, "x-": 1, "y+": 3, "y-": 4}
 
@@ -145,7 +144,7 @@ def susceptibility_at(a: np.ndarray, omega: float) -> np.ndarray:
     """Response matrix Sigma~(omega) + i omega I of the embedded generator a
     at one real frequency.
 
-    The Schur complement of a (linres.build_embedded_matrix(...).matrix)
+    The Schur complement of a (linres.build_embedded_matrix(params, ss))
     onto the six physical quadratures.  Raises SingularAtFrequency when the
     matrix is numerically singular (gapless states at omega = 0, or exactly
     at a critical point); the marginal-mode rule relies on this.
@@ -222,68 +221,60 @@ def _marginal_projector(a: np.ndarray, is_marginal) -> tuple[np.ndarray, np.ndar
 
 @dataclass(frozen=True)
 class SpectralData:
-    """PSD matrices of the cross-quadratures on a symmetric frequency grid.
+    """PSD matrices of the cross-quadratures on a frequency grid.
 
-    matrices[k] is the Hermitian 6x6 PSD at omega[k]; X and Y sectors sit in
-    one matrix (block-diagonal unless the frame rotates).  generator and
-    diffusion are the embedded pair (A, D) the spectrum was derived from.
+    matrices[k] is the Hermitian 6x6 PSD at omega[k], in the quadrature
+    order (x+, x-, xP, y+, y-, yP) of the co-rotating frame of ss; X and Y
+    sectors sit in one matrix (block-diagonal unless the frame rotates).
+    generator and diffusion are the arrays A = build_embedded_matrix(params,
+    ss) and D = build_diffusion(params, ss) the spectrum was derived from.
     """
 
     omega: np.ndarray
     matrices: np.ndarray
-    labels: tuple[str, ...]
-    frame: str
     params: SystemParams
     ss: SteadyState
-    include_pump: bool
-    generator: linres.EmbeddedMatrix
+    generator: np.ndarray
     diffusion: np.ndarray
 
 
-def psd(
-    params: SystemParams,
-    ss: SteadyState,
-    omega_grid=None,
-    n_grid: int = 2000,
-) -> SpectralData:
-    """Hermitian PSD matrices on a symmetric frequency grid.
+def psd(params: SystemParams, ss: SteadyState, omega_grid=None) -> SpectralData:
+    """Hermitian PSD matrices on a frequency grid.
 
     The steady state must be stable or marginal; the marginal-mode rule
     (_marginal_rule) tests the one generator A built here, which
-    SpectralData carries on.  Gapless states are fine as long as the grid
-    avoids omega = 0 exactly, which the default even-count grid does.  An
-    empty grid (validated like any other) gives only the stability check
-    and the pair (A, D), which is all integrate_variances reads: no
-    frequency is evaluated, and omega and matrices are the empty (0,) and
-    (0, 6, 6) stacks.  Pump noise is on exactly when
-    the state's phase is broken, as in the stochastic integrator; the
-    SpectralData records it.  The grid is evaluated as one (N, 6, 6) stack;
-    SingularAtFrequency names its first singular frequency in grid order.
+    SpectralData carries on.  The default grid is 2000 points over
+    |omega| <= 30 gamma0 + 3 gammaP (3 gamma0 in place of 3 gammaP for a
+    disordered state); its even count avoids omega = 0, so gapless states
+    are fine.  An empty grid (validated like any other) gives only the
+    stability check and the pair (A, D), which is all integrate_variances
+    reads: no frequency is evaluated, and omega and matrices are the empty
+    (0,) and (0, 6, 6) stacks.  Pump noise is on exactly when the state's
+    phase is broken (build_diffusion).  The grid is evaluated as one
+    (N, 6, 6) stack; SingularAtFrequency names its first singular frequency
+    in grid order.
     """
-    include_pump = ss.phase.broken
-    em = linres.build_embedded_matrix(params, ss)
-    is_marginal = _marginal_rule(em.matrix, params.gamma0)
-    for lam in linres.eigenspectrum(em).eigenvalues:
+    a = linres.build_embedded_matrix(params, ss)
+    is_marginal = _marginal_rule(a, params.gamma0)
+    for lam in linres.eigenspectrum(a).eigenvalues:
         if lam.real > linres.STABLE_TOL and not is_marginal(lam.real, lam.imag):
             raise OutOfRegime(
                 f"PSD of an unstable state (growth rate {lam.real:.3e}); "
                 "linearized fluctuations have no stationary spectrum"
             )
     if omega_grid is None:
-        w = 30.0 * params.gamma0 + 3.0 * (params.gammaP if include_pump else params.gamma0)
-        omega_grid = np.linspace(-w, w, max(2, n_grid))
+        w = 30.0 * params.gamma0 + 3.0 * (params.gammaP if ss.phase.broken else params.gamma0)
+        omega_grid = np.linspace(-w, w, 2000)
     om = _frequencies(omega_grid)
     if om.size == 0:
-        d = linres.build_diffusion(params, include_pump)
-        empty = np.empty((0, 6, 6), dtype=complex)
-        return SpectralData(om, empty, QUAD_LABELS, em.frame, params, ss, include_pump, em, d)
-    om, m, feed = _eliminate_memory(em.matrix, om)
+        d = linres.build_diffusion(params, ss)
+        return SpectralData(om, np.empty((0, 6, 6), dtype=complex), params, ss, a, d)
+    om, m, feed = _eliminate_memory(a, om)
     _check_response(m, om)
-    d = linres.build_diffusion(params, include_pump)
+    d = linres.build_diffusion(params, ss)
     chi = np.linalg.inv(m)
     s = chi @ _force_psd(d, feed) @ _h(chi) / (2.0 * math.pi)
-    mats = 0.5 * (s + _h(s))
-    return SpectralData(om, mats, QUAD_LABELS, em.frame, params, ss, include_pump, em, d)
+    return SpectralData(om, 0.5 * (s + _h(s)), params, ss, a, d)
 
 
 @dataclass(frozen=True)
@@ -397,7 +388,7 @@ def integrate_variances(sd: SpectralData) -> VarianceReport:
     from scipy.linalg import lapack
 
     params = sd.params
-    a, d = sd.generator.matrix, sd.diffusion
+    a, d = sd.generator, sd.diffusion
     t, z, k, x, touched = _marginal_schur(a, _marginal_rule(a, params.gamma0))
     f = z.T.dot((-d).dot(z))
     if k:

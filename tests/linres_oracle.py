@@ -24,13 +24,10 @@ from nmpo.errors import (
     located,
 )
 from nmpo.linres import (
-    LABELS_FULL,
-    LABELS_MARKOV,
     RESIDUAL_TOL,
     STABLE_TOL,
     EigenflowResult,
     EigenSpectrum,
-    EmbeddedMatrix,
     exceptional_point_drive,
 )
 from nmpo.meanfield import Phase, SteadyState, critical_drive, mode_amplitudes
@@ -86,7 +83,7 @@ def steady_state_residual(params: SystemParams, ss: SteadyState) -> float:
     return max(abs(res_i) / g0, abs(res_s) / g0, abs(res_p) / (gp * max(1.0, mu)))
 
 
-def build_embedded_matrix(params: SystemParams, ss: SteadyState) -> EmbeddedMatrix:
+def build_embedded_matrix(params: SystemParams, ss: SteadyState) -> np.ndarray:
     res = steady_state_residual(params, ss)
     if res > RESIDUAL_TOL:
         raise InconsistentSteadyState(
@@ -121,7 +118,7 @@ def build_embedded_matrix(params: SystemParams, ss: SteadyState) -> EmbeddedMatr
     if markov:
         for q in (0, 1, 3, 4):
             m[q, q] += -g0 / 2.0
-        return EmbeddedMatrix(m, LABELS_MARKOV, "corotating" if dlt != 0.0 else "static")
+        return m
     tau = params.tau_r
     for k, q in enumerate((0, 1, 3, 4)):
         m[q, 6 + k] += -0.5
@@ -131,12 +128,12 @@ def build_embedded_matrix(params: SystemParams, ss: SteadyState) -> EmbeddedMatr
     m[7, 8] += -dlt
     m[8, 7] += +dlt
     m[9, 6] += +dlt
-    return EmbeddedMatrix(m, LABELS_FULL, "corotating" if dlt != 0.0 else "static")
+    return m
 
 
-def eigenspectrum(em: EmbeddedMatrix) -> EigenSpectrum:
+def eigenspectrum(a: np.ndarray) -> EigenSpectrum:
     try:
-        vals = np.linalg.eigvals(em.matrix)
+        vals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(f"eigensolver did not converge: {exc}") from exc
     if not np.all(np.isfinite(vals)):

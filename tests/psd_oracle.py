@@ -4,9 +4,10 @@ nmpo.spectra.psd evaluates its whole frequency grid as one (N, 6, 6) stack:
 one batched elimination of the memory variables, one batched singularity
 check and one batched inverse.  This module keeps the plain form: the
 Schur complement, the singular-value check, the inverse and the sandwich
-product for one frequency after another, and the one-frequency
-susceptibility_at and diffusion_matrix built on the same steps.  Both must
-give bit-identical results; tests/test_psd_stacked.py checks that.
+product for one frequency after another, the one-frequency
+susceptibility_at and diffusion_matrix built on the same steps, and the
+span of the default grid (default_grid).  Both must give bit-identical
+results; tests/test_psd_stacked.py checks that.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from nmpo import linres
 from nmpo.errors import OutOfRegime, SingularAtFrequency
-from nmpo.meanfield import Phase, SteadyState
+from nmpo.meanfield import SteadyState
 from nmpo.model import SystemParams
 from nmpo.spectra import _MARGINAL_RE, _SINGULAR_RTOL
 
@@ -45,19 +46,22 @@ def _check_response(m: np.ndarray, omega: float) -> None:
         )
 
 
+def default_grid(params: SystemParams, ss: SteadyState, n: int = 2000) -> np.ndarray:
+    """n points over the span of psd's default grid: |omega| <= 30 gamma0 +
+    3 gammaP, or 30 gamma0 + 3 gamma0 where the phase is not broken."""
+    w = 30.0 * params.gamma0 + 3.0 * (params.gammaP if ss.phase.broken else params.gamma0)
+    return np.linspace(-w, w, n)
+
+
 def susceptibility_at(params: SystemParams, ss: SteadyState, omega: float) -> np.ndarray:
-    m, _ = _eliminate_memory(linres.build_embedded_matrix(params, ss).matrix, float(omega))
+    m, _ = _eliminate_memory(linres.build_embedded_matrix(params, ss), float(omega))
     _check_response(m, omega)
     return m
 
 
-def diffusion_matrix(
-    params: SystemParams, ss: SteadyState, omega: float, include_pump: bool | None = None
-) -> np.ndarray:
-    if include_pump is None:
-        include_pump = ss.phase is not Phase.DISORDERED
-    _, feed = _eliminate_memory(linres.build_embedded_matrix(params, ss).matrix, float(omega))
-    return _force_psd(linres.build_diffusion(params, include_pump), feed)
+def diffusion_matrix(params: SystemParams, ss: SteadyState, omega: float) -> np.ndarray:
+    _, feed = _eliminate_memory(linres.build_embedded_matrix(params, ss), float(omega))
+    return _force_psd(linres.build_diffusion(params, ss), feed)
 
 
 def _marginal_rule(params: SystemParams, ss: SteadyState):
@@ -76,33 +80,26 @@ def _marginal_rule(params: SystemParams, ss: SteadyState):
 
 
 def psd(
-    params: SystemParams,
-    ss: SteadyState,
-    omega_grid=None,
-    include_pump: bool | None = None,
-    n_grid: int = 2000,
-) -> tuple[np.ndarray, np.ndarray, str]:
-    """(omega, matrices, frame) of spectra.psd, one frequency at a time."""
-    if include_pump is None:
-        include_pump = ss.phase is not Phase.DISORDERED
-    em = linres.build_embedded_matrix(params, ss)
+    params: SystemParams, ss: SteadyState, omega_grid=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(omega, matrices) of spectra.psd, one frequency at a time."""
+    a = linres.build_embedded_matrix(params, ss)
     is_marginal = _marginal_rule(params, ss)
-    for lam in linres.eigenspectrum(em).eigenvalues:
+    for lam in linres.eigenspectrum(a).eigenvalues:
         if lam.real > linres.STABLE_TOL and not is_marginal(lam.real, lam.imag):
             raise OutOfRegime(
                 f"PSD of an unstable state (growth rate {lam.real:.3e}); "
                 "linearized fluctuations have no stationary spectrum"
             )
     if omega_grid is None:
-        w = 30.0 * params.gamma0 + 3.0 * (params.gammaP if include_pump else params.gamma0)
-        omega_grid = np.linspace(-w, w, max(2, n_grid))
+        omega_grid = default_grid(params, ss)
     om = np.asarray(omega_grid, dtype=float)
-    d = linres.build_diffusion(params, include_pump)
+    d = linres.build_diffusion(params, ss)
     mats = np.empty((om.size, 6, 6), dtype=complex)
     for k, w_k in enumerate(om):
-        m, feed = _eliminate_memory(em.matrix, float(w_k))
+        m, feed = _eliminate_memory(a, float(w_k))
         _check_response(m, w_k)
         chi = np.linalg.inv(m)
         s = chi @ _force_psd(d, feed) @ chi.conj().T / (2.0 * math.pi)
         mats[k] = 0.5 * (s + s.conj().T)
-    return om, mats, em.frame
+    return om, mats

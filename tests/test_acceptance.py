@@ -11,6 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from psd_oracle import default_grid
 from nmpo.linres import (
     build_embedded_matrix,
     disordered_eigenvalues_closed_form,
@@ -144,14 +145,14 @@ def test_criterion_05_variance_integration_matches_closed_forms(capsys):
             p0 = make_params(0.0, kappa, gammaP=1e4)
             for mu in np.linspace(0.0, critical_drive(kappa) - margin, 10):
                 p = make_params(mu, kappa, gammaP=1e4)
-                rep = integrate_variances(psd(p, steady_state(p), n_grid=16))
+                rep = integrate_variances(psd(p, steady_state(p), omega_grid=()))
                 ref = variances_below_threshold(mu, kappa)
                 for lab in ("sigma_x_plus", "sigma_x_minus", "sigma_y_plus", "sigma_y_minus"):
                     worst = max(worst, abs(getattr(rep, lab) / getattr(ref, lab) - 1.0))
         for kappa in np.geomspace(0.5 + margin, 5.0, 10):
             for mu in np.linspace(1.0 + margin, 3.0, 10):
                 p = make_params(mu, kappa, gammaP=1e4)
-                rep = integrate_variances(psd(p, steady_state(p), n_grid=16))
+                rep = integrate_variances(psd(p, steady_state(p), omega_grid=()))
                 ref = variances_above_threshold_u1(mu, kappa)
                 assert rep.divergent["x-"] and math.isinf(rep.sigma_x_minus)
                 for lab in ("sigma_x_plus", "sigma_y_plus", "sigma_y_minus"):
@@ -270,7 +271,8 @@ def test_criterion_11_property_suites(capsys):
         # PSD positive semidefinite and Hermitian on a mixed-phase sample
         for mu, kappa in ((0.4, 0.7), (1.5, 1.0), (0.9, 0.2)):
             p = make_params(mu, kappa, nth=0.3)
-            sd = psd(p, steady_state(p), n_grid=32)
+            ss = steady_state(p)
+            sd = psd(p, ss, default_grid(p, ss, 32))
             scale = np.max(np.abs(sd.matrices))
             for s in sd.matrices:
                 assert np.allclose(s, s.conj().T, atol=1e-12 * scale)
@@ -299,7 +301,7 @@ def test_criterion_11_property_suites(capsys):
 
         # thermal sum rule
         p_th = make_params(0.0, 0.3, nth=0.7)
-        rep = integrate_variances(psd(p_th, steady_state(p_th), n_grid=16))
+        rep = integrate_variances(psd(p_th, steady_state(p_th), omega_grid=()))
         for val in rep.normalized().values():
             assert val == pytest.approx(1.0, rel=1e-3)
 

@@ -12,6 +12,7 @@ from dataclasses import replace
 import pytest
 
 import sde_oracle
+from psd_oracle import default_grid
 import nmpo
 from nmpo import cli, spectra
 from nmpo.cli import main
@@ -174,14 +175,18 @@ def test_variances_grid_through_threshold_uses_the_closed_forms(capsys):
     assert at_threshold[-4:] == ["0", "1", "1", "0"]
 
 
-def _spy_psd(monkeypatch, n_grid=None):
+def _spy_psd(monkeypatch, n_points=None):
     """Route both bindings of psd (spectra's and cli's) through a spy that
-    records the size of each call's grid; with n_grid, every call evaluates
-    psd(params, ss, n_grid=n_grid) instead of the arguments it was given."""
+    records the size of each call's grid; with n_points, every call evaluates
+    psd on n_points over the span of its default grid instead of the
+    arguments it was given."""
     real, sizes = spectra.psd, []
 
     def spy(params, ss, *args, **kwargs):
-        sd = real(params, ss, n_grid=n_grid) if n_grid else real(params, ss, *args, **kwargs)
+        if n_points:
+            sd = real(params, ss, default_grid(params, ss, n_points))
+        else:
+            sd = real(params, ss, *args, **kwargs)
         sizes.append(sd.omega.size)
         return sd
 
@@ -208,7 +213,7 @@ def test_variances_integrate_evaluates_no_psd_grid(capsys, monkeypatch):
 def test_variances_without_a_grid_equal_the_64_point_route(monkeypatch, mu, kappa):
     args = cli._build_parser().parse_args(["variances", "--method", "integrate", "--nth", "0.3"])
     with monkeypatch.context() as m:
-        sizes = _spy_psd(m, n_grid=64)
+        sizes = _spy_psd(m, n_points=64)
         want_phase, want = cli._variance_report_at(args, mu, kappa, "integrate")
     assert sizes == [64]
     phase, got = cli._variance_report_at(args, mu, kappa, "integrate")

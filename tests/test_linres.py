@@ -14,7 +14,6 @@ from nmpo.errors import (
     ParameterError,
 )
 from nmpo.linres import (
-    EmbeddedMatrix,
     build_diffusion,
     build_embedded_matrix,
     disordered_eigenvalues_closed_form,
@@ -102,8 +101,7 @@ def test_eigenvector_coalescence_at_exceptional_point():
     kappa = 0.8
     mu_ep = exceptional_point_drive(kappa)
     p = params(mu_ep, kappa)
-    em = build_embedded_matrix(p, steady_state(p))
-    lam, vec = np.linalg.eig(em.matrix)
+    lam, vec = np.linalg.eig(build_embedded_matrix(p, steady_state(p)))
     target = 0.25 * (mu_ep - 2 * kappa)
     order = np.argsort(np.abs(lam - target))
     i, j = order[0], order[1]
@@ -117,28 +115,47 @@ def test_eigenvector_coalescence_at_exceptional_point():
 # === embedded matrix ==========================================================
 
 
-def test_embedded_dimensions_and_labels():
+def test_embedded_dimensions():
     p = params(0.5, 1.0)
-    em = build_embedded_matrix(p, steady_state(p))
-    assert em.matrix.shape == (10, 10)
-    assert em.labels[:6] == ("x+", "x-", "xP", "y+", "y-", "yP")
-    assert em.frame == "static"
+    assert build_embedded_matrix(p, steady_state(p)).shape == (10, 10)
     pm = params(0.5, math.inf)
-    emm = build_embedded_matrix(pm, steady_state(pm))
-    assert emm.matrix.shape == (6, 6)
+    assert build_embedded_matrix(pm, steady_state(pm)).shape == (6, 6)
 
 
 def test_embedded_matrix_is_real():
     for mu, kappa in ((0.5, 1.0), (2.0, 1.0), (1.0, 0.2)):
         p = params(mu, kappa)
-        em = build_embedded_matrix(p, steady_state(p))
-        assert np.isrealobj(em.matrix)
+        assert np.isrealobj(build_embedded_matrix(p, steady_state(p)))
 
 
-def test_rotating_frame_tagged():
+# (row, col, sign) of the frame rotation in A: it mixes the cross-quadrature
+# pairs (x+, y-) and (x-, y+) and, with memory, their memory variables.
+ROTATION = [(0, 4, -1), (1, 3, -1), (3, 1, 1), (4, 0, 1)]
+MEMORY_ROTATION = [(6, 9, -1), (7, 8, -1), (8, 7, 1), (9, 6, 1)]
+
+
+@pytest.mark.parametrize("z2_branch", [1, -1])
+def test_rotating_frame_lives_in_the_generator(z2_branch):
     p = params(1.0, 0.2)
-    em = build_embedded_matrix(p, steady_state(p))
-    assert em.frame == "corotating"
+    ss = steady_state_branch(p, Phase.U1XZ2, z2_branch=z2_branch)
+    rot = z2_branch * ss.delta
+    assert rot != 0.0
+    a = build_embedded_matrix(p, ss)
+    assert [a[r, c] for r, c, _ in ROTATION + MEMORY_ROTATION] == [
+        sign * rot for _, _, sign in ROTATION + MEMORY_ROTATION
+    ]
+
+
+@pytest.mark.parametrize(
+    "mu, kappa, phase",
+    [(0.5, 1.0, Phase.DISORDERED), (0.5, math.inf, Phase.DISORDERED), (1.0, 0.2, Phase.DISORDERED),
+     (2.0, 1.0, Phase.U1), (2.0, math.inf, Phase.U1)],
+)
+def test_static_frame_has_no_rotation_entries(mu, kappa, phase):
+    p = params(mu, kappa)
+    a = build_embedded_matrix(p, steady_state_branch(p, phase))
+    entries = ROTATION + (MEMORY_ROTATION if a.shape == (10, 10) else [])
+    assert [a[r, c] for r, c, _ in entries] == [0.0] * len(entries)
 
 
 def test_disordered_spectrum_contains_both_closed_form_pairs():
@@ -198,8 +215,7 @@ def test_eigenspectrum_sorted_and_conjugate_closed():
 
 
 def test_eigenspectrum_identity_matrix():
-    em = EmbeddedMatrix(matrix=-np.eye(4), labels=("a", "b", "c", "d"), frame="static")
-    spec = eigenspectrum(em)
+    spec = eigenspectrum(-np.eye(4))
     assert all(v == pytest.approx(-1.0) for v in spec.eigenvalues)
     assert spec.stable
 
@@ -208,7 +224,7 @@ def test_eigenspectrum_nonfinite_rejected():
     m = np.eye(3)
     m[0, 0] = math.nan
     with pytest.raises(EigensolverFailure):
-        eigenspectrum(EmbeddedMatrix(matrix=m, labels=("a", "b", "c"), frame="static"))
+        eigenspectrum(m)
 
 
 def test_stability_flags():
@@ -332,7 +348,8 @@ def test_eigenflow_markovian_has_no_exceptional_point():
 def test_a_subnormal_diffusion_entry_is_a_numerics_error(kappa, n_th_s, entry):
     p = params(0.5, kappa).replace(n_th_s=n_th_s)
     with pytest.raises(NumericsError, match=f"^diffusion entry {entry} below the normal float"):
-        build_diffusion(p, include_pump=False)
+        build_diffusion(p, steady_state_branch(p, Phase.DISORDERED))
     # the same memory time with equal occupancies has no correlation entry
     if n_th_s:
-        assert build_diffusion(p.replace(n_th_s=0.0), include_pump=False)[6, 7] == 0.0
+        q = p.replace(n_th_s=0.0)
+        assert build_diffusion(q, steady_state_branch(q, Phase.DISORDERED))[6, 7] == 0.0

@@ -39,11 +39,12 @@ STATES = {
     "markov-boundary": (critical_drive(math.inf), math.inf),
     "markov-u1": (1.5, math.inf),
 }
+# Each grid is made from (params, steady state); None is psd's default.
 GRIDS = {
-    "default": {},
-    "n64": {"n_grid": 64},
-    "user": {"omega_grid": [-7.5, -0.3, 1e-3, 0.25, 2.0, 40.0]},
-    "user-no-pump": {"omega_grid": [-2.0, 0.5, 3.0]},
+    "default": lambda p, ss: None,
+    "n64": lambda p, ss: oracle.default_grid(p, ss, 64),
+    "user": lambda p, ss: [-7.5, -0.3, 1e-3, 0.25, 2.0, 40.0],
+    "user-short": lambda p, ss: [-2.0, 0.5, 3.0],
 }
 
 
@@ -52,39 +53,33 @@ def at(name):
     return p, steady_state(p)
 
 
-def force_psd(p, ss, omega, include_pump):
+def force_psd(p, ss, omega):
     """(omega, D(omega)) from the one-frequency elimination."""
-    om, _, feed = spectra._eliminate_memory(linres.build_embedded_matrix(p, ss).matrix, [omega])
-    return om[0], spectra._force_psd(linres.build_diffusion(p, include_pump), feed)[0]
+    om, _, feed = spectra._eliminate_memory(linres.build_embedded_matrix(p, ss), [omega])
+    return om[0], spectra._force_psd(linres.build_diffusion(p, ss), feed)[0]
 
 
 @pytest.mark.parametrize("grid", GRIDS)
 @pytest.mark.parametrize("state", STATES)
 def test_psd_equals_the_frequency_loop(state, grid):
     p, ss = at(state)
-    om, mats, frame = oracle.psd(p, ss, **GRIDS[grid])
-    sd = psd(p, ss, **GRIDS[grid])
+    omega_grid = GRIDS[grid](p, ss)
+    om, mats = oracle.psd(p, ss, omega_grid)
+    sd = psd(p, ss, omega_grid)
     assert sd.omega.tobytes() == om.tobytes()
     assert sd.matrices.shape == mats.shape
     assert sd.matrices.tobytes() == mats.tobytes()
-    assert sd.frame == frame
-    if grid == "user-no-pump":
-        # psd has no pump switch: the oracle's pump-off spectrum is psd's
-        # exactly where the phase is not broken.
-        _, off, _ = oracle.psd(p, ss, **GRIDS[grid], include_pump=False)
-        assert (off.tobytes() == mats.tobytes()) is not ss.phase.broken
 
 
 @pytest.mark.parametrize("state", STATES)
 def test_one_frequency_helpers_equal_the_frequency_loop(state):
     p, ss = at(state)
-    a = build_embedded_matrix(p, ss).matrix
+    a = build_embedded_matrix(p, ss)
     for w in (-3.0, 0.25, 17.0):
         assert susceptibility_at(a, w).tobytes() == oracle.susceptibility_at(p, ss, w).tobytes()
-        for pump in (None, True, False):
-            omega, got = force_psd(p, ss, w, ss.phase.broken if pump is None else pump)
-            assert got.tobytes() == oracle.diffusion_matrix(p, ss, w, pump).tobytes()
-            assert omega == w
+        omega, got = force_psd(p, ss, w)
+        assert got.tobytes() == oracle.diffusion_matrix(p, ss, w).tobytes()
+        assert omega == w
 
 
 @pytest.mark.parametrize(
@@ -108,7 +103,7 @@ def test_singular_frequency_message_at_one_frequency():
     with pytest.raises(SingularAtFrequency) as want:
         oracle.susceptibility_at(p, ss, 0.0)
     with pytest.raises(SingularAtFrequency) as got:
-        susceptibility_at(build_embedded_matrix(p, ss).matrix, 0.0)
+        susceptibility_at(build_embedded_matrix(p, ss), 0.0)
     assert str(got.value) == str(want.value)
 
 
@@ -130,9 +125,9 @@ def test_bad_grid_is_a_parameter_error(state, grid):
 def test_one_frequency_helpers_reject_non_finite_omega(omega):
     p, ss = at("disordered")
     with pytest.raises(ParameterError):
-        susceptibility_at(build_embedded_matrix(p, ss).matrix, omega)
+        susceptibility_at(build_embedded_matrix(p, ss), omega)
     with pytest.raises(ParameterError):
-        force_psd(p, ss, omega, False)
+        force_psd(p, ss, omega)
 
 
 def _no_spectral_pass(monkeypatch):
@@ -150,12 +145,11 @@ def test_empty_grid_gives_an_empty_stack(monkeypatch, state, grid):
     # The stability check of these states tests no marginal candidate, so
     # nothing here needs a response matrix: the empty grid is the pair alone.
     p, ss = at(state)
-    want = psd(p, ss, n_grid=8)
+    want = psd(p, ss, oracle.default_grid(p, ss, 8))
     _no_spectral_pass(monkeypatch)
     sd = psd(p, ss, omega_grid=grid)
-    assert sd.generator.matrix.tobytes() == want.generator.matrix.tobytes()
+    assert sd.generator.tobytes() == want.generator.tobytes()
     assert sd.diffusion.tobytes() == want.diffusion.tobytes()
-    assert (sd.frame, sd.include_pump) == (want.frame, want.include_pump)
     assert sd.omega.shape == (0,) and sd.omega.dtype == float
     assert sd.matrices.shape == (0, 6, 6) and sd.matrices.dtype == complex
 
@@ -171,17 +165,16 @@ def test_empty_grid_still_refuses_an_unstable_state(monkeypatch):
 @pytest.mark.parametrize("state", ["disordered", "u1", "u1xz2", "markov-u1"])
 def test_spectral_data_carries_the_pair_it_was_built_from(state):
     p, ss = at(state)
-    sd = psd(p, ss, n_grid=8)
-    assert sd.generator.matrix.tobytes() == linres.build_embedded_matrix(p, ss).matrix.tobytes()
-    assert sd.generator.frame == sd.frame
-    assert sd.diffusion.tobytes() == linres.build_diffusion(p, sd.include_pump).tobytes()
+    sd = psd(p, ss, oracle.default_grid(p, ss, 8))
+    assert sd.generator.tobytes() == linres.build_embedded_matrix(p, ss).tobytes()
+    assert sd.diffusion.tobytes() == linres.build_diffusion(p, ss).tobytes()
 
 
 def test_integrate_variances_does_not_rebuild_the_generator(monkeypatch):
     # A stable disordered state has no marginal candidate, so nothing in
     # integrate_variances needs A beyond the copy psd carries.
     p, ss = at("disordered")
-    sd = psd(p, ss, n_grid=8)
+    sd = psd(p, ss, omega_grid=())
     monkeypatch.setattr(linres, "build_embedded_matrix", lambda *args: pytest.fail("rebuilt A"))
     monkeypatch.setattr(linres, "build_diffusion", lambda *args: pytest.fail("rebuilt D"))
     rep = integrate_variances(sd)
@@ -203,7 +196,7 @@ RULE_GRID = [
 def test_marginal_projector_on_the_prebuilt_generator_equals_the_rebuilding_rule(mu, kappa):
     p = params(mu, kappa)
     ss = steady_state(p)
-    a = build_embedded_matrix(p, ss).matrix
+    a = build_embedded_matrix(p, ss)
     got_proj, got_touched = spectra._marginal_projector(a, spectra._marginal_rule(a, p.gamma0))
     want_proj, want_touched = spectra._marginal_projector(a, oracle._marginal_rule(p, ss))
     assert got_proj.tobytes() == want_proj.tobytes()
@@ -260,7 +253,7 @@ def _projected_covariance(sd):
     out for P = 0: A - (A + gamma0 I) P and (I - P) D (I - P)^T."""
     from scipy.linalg import solve_continuous_lyapunov
 
-    a, d = sd.generator.matrix, sd.diffusion
+    a, d = sd.generator, sd.diffusion
     proj = np.zeros_like(a)
     eye = np.eye(a.shape[0])
     keep = eye - proj
@@ -290,7 +283,7 @@ def test_covariance_without_a_marginal_mode_equals_the_projected_solve(mu, kappa
     ss = steady_state(p)
     assert ss.phase is Phase.DISORDERED
     sd = psd(p, ss, omega_grid=())
-    a = sd.generator.matrix
+    a = sd.generator
     _, touched = spectra._marginal_projector(a, spectra._marginal_rule(a, p.gamma0))
     assert not touched.any()
     assert bool((sd.diffusion < 0).any()) is (nth_i < nth_s)

@@ -16,6 +16,10 @@ RETIRED = (
     "MemoryKernel",
     "diffusion_matrix",
     "DiffusionMatrix",
+    "EmbeddedMatrix",
+    "LABELS_FULL",
+    "LABELS_MARKOV",
+    "QUAD_LABELS",
 )
 
 

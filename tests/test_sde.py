@@ -71,6 +71,19 @@ def test_config_field_validation_collects_violations():
 
 
 @pytest.mark.parametrize(
+    "field, value",
+    [("n_traj", 2.5), ("n_traj", True), ("n_traj", "4"), ("n_traj", np.float64(4.0)),
+     ("record_stride", 2.5), ("record_stride", True), ("record_stride", None)],
+)
+def test_config_counts_must_be_integers(field, value):
+    with pytest.raises(ParameterError) as exc:
+        config(**{field: value})
+    assert exc.value.violations == [(field, f"must be an integer >= 1, got {value!r}")]
+    # numpy integers are counts too
+    assert getattr(config(**{field: np.int64(3)}), field) == 3
+
+
+@pytest.mark.parametrize(
     "times, field",
     [
         (dict(dt=math.inf), "dt"),
@@ -178,7 +191,7 @@ def test_one_step_noise_covariance_is_the_diffusion(kappa, nth_i, nth_s, pump_no
     row = _start_row(p, cfg, None)
     assert row.pumped is pump_noise
     w_i, w_s, w_p = row.amp
-    d = build_diffusion(p, include_pump=pump_noise)
+    d = build_diffusion(p, steady_state(p))
     assert w_p**2 == pytest.approx(d[2, 2] * cfg.dt, rel=1e-14, abs=0.0)
     assert d[2, 2] == d[5, 5]
     if p.markovian:
@@ -369,7 +382,7 @@ def test_quadrature_variances_match_theory_above_threshold():
     p = params(2.0, 1.0)
     tr = integrate_trajectory(p, config(t_sample=200.0, n_traj=48, record_stride=4, seed=22))
     rep = estimate_quadrature_variances(tr)
-    th = integrate_variances(psd(p, steady_state(p), n_grid=64))
+    th = integrate_variances(psd(p, steady_state(p), omega_grid=()))
     assert math.isinf(rep.sigma_x_minus) and rep.divergent["x-"]
     assert rep.sigma_x_plus == pytest.approx(th.sigma_x_plus, rel=0.10)
     assert rep.sigma_y_plus == pytest.approx(th.sigma_y_plus, rel=0.10)

@@ -11,6 +11,7 @@ import pytest
 
 import nmpo
 import spectral_oracle as oracle
+from psd_oracle import default_grid
 from nmpo import linres, spectra
 from nmpo.errors import OutOfRegime, ParameterError, SingularAtFrequency
 from nmpo.linres import build_embedded_matrix
@@ -42,7 +43,7 @@ def params(mu, kappa, gammaP=100.0, nth=0.0, nth_p=None, nth_s=None):
 
 def test_susceptibility_diagonal_at_zero_drive():
     p = params(0.0, 1.0)
-    m = susceptibility_at(build_embedded_matrix(p, steady_state(p)).matrix, 0.0)
+    m = susceptibility_at(build_embedded_matrix(p, steady_state(p)), 0.0)
     diag = np.diag(m)
     for q in (0, 1, 3, 4):
         assert diag[q] == pytest.approx(-0.5)
@@ -57,7 +58,7 @@ def test_susceptibility_singular_at_critical_zero_frequency():
     p = params(1.0, 0.5)
     ss = steady_state_branch(p, Phase.DISORDERED)
     with pytest.raises(SingularAtFrequency):
-        susceptibility_at(build_embedded_matrix(p, ss).matrix, 0.0)
+        susceptibility_at(build_embedded_matrix(p, ss), 0.0)
 
 
 def test_susceptibility_determinant_double_root():
@@ -65,7 +66,7 @@ def test_susceptibility_determinant_double_root():
     # sector; |det| scales as omega^4 near zero
     p = params(1.0, 0.5)
     ss = steady_state_branch(p, Phase.DISORDERED)
-    a = build_embedded_matrix(p, ss).matrix
+    a = build_embedded_matrix(p, ss)
     d1 = abs(np.linalg.det(susceptibility_at(a, 1e-3)))
     d2 = abs(np.linalg.det(susceptibility_at(a, 2e-3)))
     assert d2 / d1 == pytest.approx(16.0, rel=0.05)
@@ -74,7 +75,7 @@ def test_susceptibility_determinant_double_root():
 def test_susceptibility_markovian_frequency_dependence_trivial():
     p = params(0.5, math.inf)
     ss = steady_state(p)
-    a = build_embedded_matrix(p, ss).matrix
+    a = build_embedded_matrix(p, ss)
     m1 = susceptibility_at(a, 0.3) - 1j * 0.3 * np.eye(6)
     m2 = susceptibility_at(a, 1.7) - 1j * 1.7 * np.eye(6)
     assert np.allclose(m1, m2, atol=1e-14)
@@ -83,13 +84,10 @@ def test_susceptibility_markovian_frequency_dependence_trivial():
 # === diffusion matrix =========================================================
 
 
-def diffusion_matrix(p, ss, omega, include_pump=None):
-    """The force PSD D(omega) at one frequency, pump noise by the phase
-    unless include_pump is given."""
-    if include_pump is None:
-        include_pump = ss.phase.broken
-    feed = spectra._eliminate_memory(linres.build_embedded_matrix(p, ss).matrix, [omega])[2]
-    return spectra._force_psd(linres.build_diffusion(p, include_pump), feed)[0]
+def diffusion_matrix(p, ss, omega):
+    """The force PSD D(omega) at one frequency."""
+    feed = spectra._eliminate_memory(linres.build_embedded_matrix(p, ss), [omega])[2]
+    return spectra._force_psd(linres.build_diffusion(p, ss), feed)[0]
 
 
 def test_diffusion_even_in_frequency_static_frame():
@@ -140,7 +138,8 @@ def test_diffusion_pump_rows_excluded_below_threshold():
 
 def test_psd_hermitian_positive_and_mirror_symmetric():
     p = params(0.5, 0.5, nth=0.2)
-    sd = psd(p, steady_state(p), n_grid=128)
+    ss = steady_state(p)
+    sd = psd(p, ss, default_grid(p, ss, 128))
     assert sd.omega.size == 128
     assert np.allclose(sd.omega, -sd.omega[::-1])
     scale = np.max(np.abs(sd.matrices))
@@ -162,11 +161,20 @@ def test_psd_refuses_unstable_state():
         psd(p, ss)
 
 
-def test_psd_pump_inclusion_defaults():
-    p = params(0.5, 1.0)
-    assert not psd(p, steady_state(p), n_grid=8).include_pump
-    p2 = params(2.0, 1.0)
-    assert psd(p2, steady_state(p2), n_grid=8).include_pump
+@pytest.mark.parametrize(
+    "mu, kappa, phase",
+    [(0.5, 1.0, Phase.DISORDERED), (2.0, 1.0, Phase.DISORDERED), (2.0, 1.0, Phase.U1),
+     (1.0, 0.2, Phase.U1XZ2), (0.5, math.inf, Phase.DISORDERED), (2.0, math.inf, Phase.U1)],
+)
+def test_diffusion_follows_the_state_it_is_given(mu, kappa, phase):
+    # (2.0, 1.0) is above threshold: its disordered branch has no pump noise.
+    p = params(mu, kappa, nth=0.3)
+    ss = steady_state_branch(p, phase)
+    d = linres.build_diffusion(p, ss)
+    pump = p.pump_noise_power if ss.phase.broken else 0.0
+    assert (d[2, 2], d[5, 5]) == (pump, pump)
+    if ss.phase is steady_state(p).phase:
+        assert psd(p, ss, omega_grid=()).diffusion.tobytes() == d.tobytes()
 
 
 # === integrated variances =====================================================
@@ -175,14 +183,14 @@ def test_psd_pump_inclusion_defaults():
 @pytest.mark.parametrize("kappa", [0.05, 0.3, 1.0, 10.0])
 def test_thermal_sum_rule(kappa):
     p = params(0.0, kappa, nth=0.7)
-    rep = integrate_variances(psd(p, steady_state(p), n_grid=64))
+    rep = integrate_variances(psd(p, steady_state(p), omega_grid=()))
     for lab, val in rep.normalized().items():
         assert val == pytest.approx(1.0, rel=1e-3)
 
 
 def test_integrated_variances_below_threshold_example():
     p = params(0.5, 0.5)
-    rep = integrate_variances(psd(p, steady_state(p), n_grid=64))
+    rep = integrate_variances(psd(p, steady_state(p), omega_grid=()))
     assert rep.sigma_x_plus == pytest.approx(2 * 0.5 / (1.5 * 1.5), rel=1e-3)
     assert rep.sigma_y_minus == pytest.approx(2 * 0.5 / (1.5 * 1.5), rel=1e-3)
     assert rep.sigma_x_minus == pytest.approx(1.0 / (0.5 * 0.5), rel=1e-3)
@@ -193,7 +201,7 @@ def test_integrated_variances_below_threshold_example():
 
 def test_integrated_variances_u1_goldstone_flagged():
     p = params(2.0, 1.0, gammaP=10000.0)
-    rep = integrate_variances(psd(p, steady_state(p), n_grid=64))
+    rep = integrate_variances(psd(p, steady_state(p), omega_grid=()))
     assert math.isinf(rep.sigma_x_minus)
     assert rep.divergent["x-"] and not rep.divergent["y-"]
     assert rep.covariance is not None
@@ -226,24 +234,23 @@ ORACLE_POINTS = [
 def test_schur_complements_match_frequency_domain_forms(mu, kappa, extra):
     p = params(mu, kappa, **extra)
     ss = steady_state(p)
-    a = build_embedded_matrix(p, ss).matrix
+    a = build_embedded_matrix(p, ss)
     for w in (-3.0, -0.4, 0.1, 0.77, 5.0):
         chi_inv = oracle.drift_freq(p, ss, w) + 1j * w * np.eye(6)
         assert np.max(np.abs(susceptibility_at(a, w) - chi_inv)) < 1e-14
-        for pump in (False, True):
-            want = oracle.force_psd(p, ss, w, pump)
-            got = diffusion_matrix(p, ss, w, include_pump=pump)
-            assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+        want = oracle.force_psd(p, ss, w, ss.phase.broken)
+        got = diffusion_matrix(p, ss, w)
+        assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("mu,kappa,extra", ORACLE_POINTS)
 def test_lyapunov_covariance_matches_quadrature_oracle(mu, kappa, extra):
     p = params(mu, kappa, **extra)
     ss = steady_state(p)
-    sd = psd(p, ss, n_grid=8)
+    sd = psd(p, ss, omega_grid=())
     rep = variances_u1xz2(p) if ss.phase is Phase.U1XZ2 else integrate_variances(sd)
     flagged = [q for q in range(6) if math.isinf(rep.covariance[q, q])]
-    ref = oracle.quadrature_covariance(p, ss, sd.include_pump, exclude=flagged)
+    ref = oracle.quadrature_covariance(p, ss, ss.phase.broken, exclude=flagged)
     # below threshold the pump quadratures carry no noise at all
     kept = [q for q in range(6) if q not in flagged and ref[q, q] > 0]
     got = rep.covariance[np.ix_(kept, kept)]
@@ -259,13 +266,13 @@ def test_rotating_threshold_and_defective_zero_mode():
     # threshold of the rotating regime: marginal pair at +-delta, amplified
     # quadratures divergent, squeezed pair at its closed form
     p = params(0.4, 0.2)
-    rep = integrate_variances(psd(p, steady_state(p), n_grid=64))
+    rep = integrate_variances(psd(p, steady_state(p), omega_grid=()))
     assert rep.sigma_x_plus == pytest.approx(0.4 / (1.4 * 0.8), rel=1e-9)
     assert rep.sigma_y_minus == pytest.approx(0.4 / (1.4 * 0.8), rel=1e-9)
     assert rep.divergent == {"x+": False, "x-": True, "y+": True, "y-": False}
     # kappa = 1/2: the defective zero mode splits by ~1e-8 and is still marginal
     p = params(1.9, 0.5)
-    rep = integrate_variances(psd(p, steady_state(p), n_grid=64))
+    rep = integrate_variances(psd(p, steady_state(p), omega_grid=()))
     assert rep.divergent == {"x+": False, "x-": True, "y+": False, "y-": False}
     assert rep.sigma_x_plus == pytest.approx(0.66133, rel=1e-4)
     assert rep.sigma_y_plus == pytest.approx(1.88308, rel=1e-4)
@@ -274,11 +281,11 @@ def test_rotating_threshold_and_defective_zero_mode():
 
 def test_near_threshold_states_finite_below_flagged_above():
     below = params(1.0 - 1e-9, 1.0)
-    rep = integrate_variances(psd(below, steady_state(below), n_grid=64))
+    rep = integrate_variances(psd(below, steady_state(below), omega_grid=()))
     assert not any(rep.divergent.values())
     assert rep.sigma_x_minus > 1e9 and rep.sigma_y_plus > 1e9
     above = params(1.0 + 1e-9, 1.0)
-    rep = integrate_variances(psd(above, steady_state(above), n_grid=64))
+    rep = integrate_variances(psd(above, steady_state(above), omega_grid=()))
     assert rep.divergent == {"x+": False, "x-": True, "y+": True, "y-": False}
     assert rep.sigma_y_minus == pytest.approx(1.0 / 3.0, rel=1e-6)
 

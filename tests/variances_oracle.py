@@ -53,7 +53,7 @@ def covariance(sd: SpectralData) -> tuple[np.ndarray, np.ndarray]:
     """(full embedded covariance, touched mask) of the projected pair."""
     from scipy.linalg import solve_continuous_lyapunov
 
-    a, d = sd.generator.matrix, sd.diffusion
+    a, d = sd.generator, sd.diffusion
     proj, touched = marginal_projector(a, _marginal_rule(a, sd.params.gamma0))
     if touched.any():
         eye = np.eye(a.shape[0])
