@@ -169,37 +169,43 @@ def _write_csv(args, command, extra_meta, columns, rows) -> None:
     _write_text(args.out, _csv_text(args, command, extra_meta, columns, rows))
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, Phase):
-        return obj.value
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json(obj, indent: str = "\n") -> str:
+    """obj as json.dumps(obj, indent=2, sort_keys=True) writes it, in one pass:
+    a Phase as its value, a complex as {"im", "re"}, numpy scalars and arrays
+    as Python ones, and inf and nan as the strings "inf", "-inf" and "nan".
+    The commonest types of a document are tested first."""
     if isinstance(obj, (float, np.floating)):
         f = float(obj)
-        if math.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        if math.isnan(f):
-            return "nan"
-        return f
-    if isinstance(obj, complex):
-        return {"re": _jsonable(obj.real), "im": _jsonable(obj.imag)}
+        return float.__repr__(f) if math.isfinite(f) else '"%s"' % f
+    if isinstance(obj, str):
+        return _quote(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = [f"{inner}{_quote(k)}: {_json(v, inner)}" for k, v in sorted(obj.items())]
+        return "{" + ",".join(items) + indent + "}" if items else "{}"
+    if obj is None or isinstance(obj, (bool, np.bool_)):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
+    if isinstance(obj, Phase):
+        return _quote(obj.value)
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        items = [inner + _json(v, inner) for v in obj]
+        return "[" + ",".join(items) + indent + "]" if items else "[]"
+    if isinstance(obj, complex):
+        return _json({"re": obj.real, "im": obj.imag}, indent)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(args, command, payload, extra_meta) -> None:
     meta = {"tool": "nmpo", "version": __version__, "command": command}
     meta.update(_header_fields(args, extra_meta))
-    doc = {"meta": _jsonable(meta)}
-    doc.update(_jsonable(payload))
-    _write_text(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_text(args.out, _json({"meta": meta, **payload}) + "\n")
 
 
 def _add_common(sub, kappa_default: str, *, pump: bool = True, bath: bool = False) -> None:

@@ -114,22 +114,21 @@ def steady_state_branch(
 ) -> SteadyState:
     """Stationary solution of the requested family at params.mu.
 
-    The one-drive case of steady_row: the family is evaluated wherever it
-    exists, including where it is unstable (needed for eigenvalue flow
-    across crossings).  OutOfRegime if the family has no real solution at
-    this drive / memory; ParameterError for a gauge angle phi that is not finite.
+    The one-drive case of steady_row (_family at the scalar drive): the
+    family is evaluated wherever it exists, including where it is unstable
+    (needed for eigenvalue flow across crossings).  OutOfRegime if the family
+    has no real solution here; ParameterError for a phi that is not finite.
     """
     if z2_branch not in (1, -1):
         raise OutOfRegime(f"z2_branch must be +1 or -1, got {z2_branch}")
     if not math.isfinite(phi):
         raise ParameterError(f"phi must be finite, got {phi}", [("phi", "must be finite")])
-    mu, kappa = params.mu, params.kappa
+    mu, kappa = float(params.mu), params.kappa
     mu_cr = critical_drive(kappa)
-    index, row = steady_row(params, np.array([mu]), phase)
-    if index.size == 0:
-        raise OutOfRegime(f"no {phase.value} state at mu = {mu}, kappa = {kappa}")
-    amp, a_p, rot = float(row.amp_signal[0]), complex(row.a_p[0]), float(row.rot[0])
-    return SteadyState(phase, amp, a_p, rot, z2_branch, phi, mu_cr)
+    pump, rot = map(float, _family(params, phase, mu))
+    if not mu >= pump:
+        raise OutOfRegime(f"no {phase.value} state at mu = {params.mu}, kappa = {kappa}")
+    return SteadyState(phase, math.sqrt(mu - pump), 1j * pump, rot, z2_branch, phi, mu_cr)
 
 
 def steady_state(params: SystemParams, z2_branch: int = 1, phi: float = 0.0) -> SteadyState:
@@ -162,8 +161,8 @@ class SteadyRow:
         return cls(params.mu, (ss.phase,), ss.amp_signal, a_i, a_s, a_p, ss.z2_branch * ss.delta)
 
 
-def _family(params: SystemParams, phase: Phase, mu: np.ndarray):
-    """(pump P, rotation) of a family at drives mu: pump amplitude i P, magnitude sqrt(mu - P).
+def _family(params: SystemParams, phase: Phase, mu):
+    """(pump P, rotation) of a family at drive(s) mu: pump amplitude i P, magnitude sqrt(mu - P).
 
     A family exists where mu >= P; u1xz2 exists only where it is the broken family.
     """
@@ -256,14 +255,17 @@ def check_grid(base: SystemParams, mu_grid, kappa_grid, where=None) -> None:
     through base.replace, so it keeps the scalar route's class and message;
     where(i, j), if given, prefixes its grid location.
     """
-    mu, kappa = np.asarray(mu_grid, dtype=float), np.asarray(kappa_grid, dtype=float)
-    bad_kappa = np.array([_no_memory_time(base.gamma0, k) for k in kappa.tolist()], dtype=bool)
-    bad = np.argwhere(bad_kappa[:, None] | ~((mu >= 0.0) & (mu < math.inf))[None, :])
-    if bad.size == 0:
+    mu = np.asarray(mu_grid, dtype=float).tolist()
+    bad_mu = next((i for i, m in enumerate(mu) if not 0.0 <= m < math.inf), None)
+    for j, kappa in enumerate(np.asarray(kappa_grid, dtype=float).tolist()):
+        # A kappa without a memory time makes its whole row invalid.
+        i = 0 if mu and _no_memory_time(base.gamma0, kappa) else bad_mu
+        if i is not None:
+            break
+    else:
         return
-    j, i = bad[0]
     try:
-        base.replace(mu=float(mu[i]), kappa=float(kappa[j]))
+        base.replace(mu=mu[i], kappa=kappa)
     except Exception as exc:
         if where is None:
             raise

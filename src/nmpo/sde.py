@@ -157,7 +157,9 @@ class SimConfig:
                     bad.append((name, f"must be a finite number of steps of dt = {self.dt}, "
                                       f"got {span}"))
         bad += _bad_count("n_traj", self.n_traj)
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+        if isinstance(self.seed, bool) or not (
+            isinstance(self.seed, (int, np.integer)) and self.seed >= 0
+        ):
             bad.append(("seed", f"must be a non-negative integer, got {self.seed!r}"))
         if self.scheme not in SCHEMES:
             bad.append(("scheme", f"must be one of {SCHEMES}, got {self.scheme!r}"))

@@ -75,6 +75,12 @@ _MARGINAL_RE = 1e-6
 _TOUCH_FRAC = 1e-6
 # Scale above which the u1 closed forms divide out max(mu, kappa) to stay in range.
 _HUGE = 1e100
+# dgees's workspace per matrix size: the optimal size that scipy.linalg.schur
+# queries before each call, which depends on the size only.
+_GEES_LWORK: dict[int, int] = {}
+# dgees's info > 0 less the size, as scipy.linalg.schur words it.
+_GEES_FAILED = {1: "Eigenvalues could not be separated for reordering.",
+                2: "Leading eigenvalues do not satisfy sort condition."}
 # trsyl's info = 1: it perturbed the coefficients to solve (scipy's wording).
 _PERTURBED = (
     'Input "a" has an eigenvalue pair whose sum is very close to or exactly zero. '
@@ -192,15 +198,19 @@ def _marginal_schur(a: np.ndarray, is_marginal):
     the real spectral projector onto the marginal modes, which (unlike
     eigenvectors) stays real when the zero eigenvalue is defective.
     touched masks the variables the marginal subspace reaches: all False
-    when k = 0, else at least the variable of largest weight.
+    when k = 0, else at least the variable of largest weight.  One sorted
+    dgees call, with scipy.linalg.schur's workspace, gives T, Z and k as
+    that function does, bit for bit, and its ValueError for a non-finite a.
     """
-    from scipy.linalg import lapack, schur
+    from scipy.linalg import lapack
 
-    try:
-        t, z, k = schur(a, output="real", sort=is_marginal)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverFailure(f"ordered Schur form failed: {exc}") from exc
-    n = a.shape[0]
+    n = np.asarray_chkfinite(a).shape[0]
+    if n not in _GEES_LWORK:
+        _GEES_LWORK[n] = int(lapack.dgees(lambda re, im: None, a, lwork=-1)[-2][0])
+    t, k, _, _, z, _, info = lapack.dgees(is_marginal, a, lwork=_GEES_LWORK[n], sort_t=1)
+    if info:
+        reason = _GEES_FAILED.get(info - n, "Schur form not found. Possibly ill-conditioned.")
+        raise EigensolverFailure(f"ordered Schur form failed: {reason}")
     if k == 0:
         return t, z, 0, np.zeros((0, n)), np.zeros(n, dtype=bool)
     # trsyl returns scale * X, with scale < 1 only where X would overflow.
@@ -256,8 +266,11 @@ def psd(params: SystemParams, ss: SteadyState, omega_grid=None) -> SpectralData:
     """
     a = linres.build_embedded_matrix(params, ss)
     is_marginal = _marginal_rule(a, params.gamma0)
-    for lam in linres.eigenspectrum(a).eigenvalues:
-        if lam.real > linres.STABLE_TOL and not is_marginal(lam.real, lam.imag):
+    # Sorted by descending real part: the first stable eigenvalue ends the check.
+    for lam in linres._spectra(a[None])[0][0].tolist():
+        if lam.real <= linres.STABLE_TOL:
+            break
+        if not is_marginal(lam.real, lam.imag):
             raise OutOfRegime(
                 f"PSD of an unstable state (growth rate {lam.real:.3e}); "
                 "linearized fluctuations have no stationary spectrum"

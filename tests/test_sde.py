@@ -83,6 +83,15 @@ def test_config_counts_must_be_integers(field, value):
     assert getattr(config(**{field: np.int64(3)}), field) == 3
 
 
+@pytest.mark.parametrize("seed", [True, False, np.bool_(True), -1, 1.0, "3"])
+def test_config_seed_must_be_a_non_negative_integer(seed):
+    # bool is an int subclass; the seed refuses it as n_traj and record_stride do.
+    with pytest.raises(ParameterError) as exc:
+        config(seed=seed)
+    assert exc.value.violations == [("seed", f"must be a non-negative integer, got {seed!r}")]
+    assert config(seed=np.int64(3)).seed == 3 and config(seed=0).seed == 0
+
+
 @pytest.mark.parametrize(
     "times, field",
     [

@@ -14,9 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import linres_oracle as oracle
-from nmpo.errors import NonPositiveRate, ParameterError
+from nmpo.errors import NonPositiveRate, OutOfRegime, ParameterError
 from nmpo.meanfield import (
     Phase,
+    SteadyState,
     classify_phase,
     critical_drive,
     steady_row,
@@ -105,3 +106,34 @@ def test_integer_drive_gives_the_float_drive_states(mu, kappa):
         got = outcome(lambda: steady_state_branch(p_int, phase))
         assert got == outcome(lambda: steady_state_branch(p_float, phase)), phase
     assert repr(steady_state(p_int)) == repr(steady_state(p_float))
+
+
+def row_state(p, phase, z2, phi):
+    """The state steady_row gives at the one drive p.mu, or the OutOfRegime
+    text where the family does not exist there."""
+    index, row = steady_row(p, np.array([p.mu]), phase)
+    if index.size == 0:
+        return f"OutOfRegime: no {phase.value} state at mu = {p.mu}, kappa = {p.kappa}"
+    return SteadyState(phase, float(row.amp_signal[0]), complex(row.a_p[0]),
+                       float(row.rot[0]), z2, phi, critical_drive(p.kappa))
+
+
+@pytest.mark.parametrize("gamma0", [1.0, 1.3])
+@pytest.mark.parametrize("kappa", [0.2, 0.3, 0.5, 1.0, math.inf])
+def test_one_drive_state_is_the_steady_row_state(kappa, gamma0):
+    """steady_state_branch evaluates its family at the scalar drive; every
+    field equals, by repr, the state of the one-drive steady_row, at mu_cr,
+    1 and 2 kappa exactly and on either side."""
+    drives = {0.0, critical_drive(kappa), 1.0, 1.5, 3.0}
+    if math.isfinite(kappa):
+        drives |= {2.0 * kappa, math.nextafter(2.0 * kappa, 0.0)}
+    for mu in sorted(drives):
+        p = SystemParams.from_kappa(gamma0, 100.0 * gamma0, kappa, 0.01, mu)
+        for phase in Phase:
+            for z2, phi in [(1, 0.4), (-1, -2.2)]:
+                want = row_state(p, phase, z2, phi)
+                try:
+                    got = steady_state_branch(p, phase, z2, phi)
+                except OutOfRegime as exc:
+                    got = f"OutOfRegime: {exc}"
+                assert repr(got) == repr(want), (mu, phase)

@@ -122,17 +122,20 @@ def test_stiff_kappa_exit_codes_and_messages_match_the_projector_route(monkeypat
         assert got == want, argv
 
 
-@pytest.mark.parametrize("mu,kappa", [(0.5, 1.0), (1.5, 1.0), (1.5, 0.2),
-                                      (critical_drive(1.0), 1.0), (1.5, math.inf)])
+SCHUR_POINTS = [(0.5, 1.0), (1.5, 1.0), (1.5, 0.2), (critical_drive(1.0), 1.0), (1.5, math.inf)]
+
+
+@pytest.mark.parametrize("mu,kappa", SCHUR_POINTS)
 def test_one_schur_form_per_variances_point(monkeypatch, mu, kappa):
     p = params(mu, kappa)
     sd = psd(p, steady_state(p), omega_grid=())
-    schurs, tests = [], []
-    schur, test = scipy.linalg.schur, spectra.susceptibility_at
+    spectra._marginal_schur(sd.generator, lambda re, im: False)  # workspace query done
+    sorted_gees, tests = [], []
+    gees, test = scipy.linalg.lapack.dgees, spectra.susceptibility_at
 
-    def counting_schur(*args, **kwargs):
-        schurs.append(kwargs.get("sort"))
-        return schur(*args, **kwargs)
+    def counting_gees(select, a, **kwargs):
+        sorted_gees.append(kwargs.get("sort_t", 0))
+        return gees(select, a, **kwargs)
 
     def counting_test(a, omega):
         tests.append(omega)
@@ -141,13 +144,40 @@ def test_one_schur_form_per_variances_point(monkeypatch, mu, kappa):
     def refuse(*args, **kwargs):
         pytest.fail("a second decomposition")
 
-    monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgees", counting_gees)
+    monkeypatch.setattr(scipy.linalg, "schur", refuse)
     monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", refuse)
     monkeypatch.setattr(scipy.linalg, "solve_sylvester", refuse)
     monkeypatch.setattr(spectra, "susceptibility_at", counting_test)
     rep = integrate_variances(sd)
-    assert len(schurs) == 1 and schurs[0] is not None
+    assert sorted_gees == [1]
     assert any(rep.divergent.values()) is (mu >= critical_drive(kappa))
     if (mu, kappa) == (1.5, 0.2):
         # The sort's marginal-mode rule tests the rotating phase's candidates.
         assert tests
+
+
+@pytest.mark.parametrize(
+    "mu,kappa",
+    SCHUR_POINTS + [(mu, kappa) for kappa in (0.49, 0.5, 0.51, math.inf)
+                    for mu in (0.5, critical_drive(kappa), 2.0)],
+)
+def test_marginal_schur_is_scipys_ordered_schur_bit_for_bit(mu, kappa):
+    p = params(mu, kappa)
+    a = psd(p, steady_state(p), omega_grid=()).generator
+    assert a.shape == ((6, 6) if math.isinf(kappa) else (10, 10))
+    t, z, k, _, _ = spectra._marginal_schur(a, spectra._marginal_rule(a, p.gamma0))
+    want = scipy.linalg.schur(a, output="real", sort=spectra._marginal_rule(a, p.gamma0))
+    assert (t.tobytes(), z.tobytes(), k) == (want[0].tobytes(), want[1].tobytes(), want[2])
+    assert (k > 0) is (mu >= critical_drive(kappa))
+
+
+def test_marginal_schur_refuses_a_non_finite_generator(monkeypatch):
+    def refuse(*args, **kwargs):
+        pytest.fail("LAPACK saw a non-finite matrix")
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgees", refuse)
+    a = np.eye(6)
+    a[2, 3] = math.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        spectra._marginal_schur(a, lambda re, im: False)
