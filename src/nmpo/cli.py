@@ -4,9 +4,11 @@ Each subcommand takes only the options it reads; an option it does not
 take exits 2.  Outputs are reproducible artifacts: every file starts with a
 metadata header (tool version, subcommand, the options taken, the kappa
 solved, seed) and contains no timestamps, so re-running a command with the
-echoed parameters reproduces the data section byte for byte.  CSV is
-long-format, one row per grid point.  Exit codes: 0 success, 2 parameter
-validation (JSON diagnostics on stderr), 3 numerical failure, 4 I/O failure.
+echoed parameters reproduces the data section byte for byte.  --out
+rewrites an existing file in place and cuts it to the written length, so a
+rerun writes the same bytes as a fresh file.  CSV is long-format, one row
+per grid point.  Exit codes: 0 success, 2 parameter validation (JSON
+diagnostics on stderr), 3 numerical failure, 4 I/O failure (a failed write).
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import functools
 import itertools
 import json
 import math
+import os
+import stat
 import sys
 import warnings
 
@@ -146,27 +150,61 @@ def _header_fields(args, extra: dict) -> dict:
     return fields
 
 
+def _keep_contents(path, flags):
+    """open()'s opener: the flags of its mode without O_TRUNC."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def _rewrite(path: str, text: str) -> None:
+    """Write text to the file at path, rewriting an existing file in place.
+
+    The file is opened without O_TRUNC, written, and then cut to the written
+    length.  Truncating on open costs several times the write of a small
+    file on ext4, whose replace-via-truncate heuristic (auto_da_alloc)
+    allocates blocks and starts writeback at close.  Only a regular file is
+    cut, so a device such as /dev/null or a pipe is written as it is.
+    nmpo never calls fsync and its outputs can be regenerated byte for byte:
+    a crash mid-write can leave the old bytes or a mix of old and new, where
+    truncating on open could leave a short or empty file.
+    """
+    with open(path, "w", opener=_keep_contents) as fh:
+        fh.write(text)
+        fh.flush()
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            os.ftruncate(fh.fileno(), fh.tell())
+
+
 def _write_text(path: str, text: str) -> None:
     if path in ("-", ""):
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        _rewrite(path, text)
 
 
-def _csv_text(args, command, extra_meta, columns, rows) -> str:
+def _fmt_column(col) -> list[str]:
+    if {*map(type, col)} <= {float}:
+        return [_FMT % v for v in col]
+    return [_fmt(v) for v in col]
+
+
+def _csv_lines(cols):
+    """The CSV data lines of `cols`, a sequence of equal-length columns,
+    formatted a column at a time as _fmt formats each value."""
+    return map(",".join, zip(*map(_fmt_column, cols)))
+
+
+def _csv_text(args, command, extra_meta, names, cols) -> str:
     fields = _header_fields(args, extra_meta)
     parts = " ".join(f"{k}={v}" for k, v in fields.items() if v is not None)
     lines = [f"# nmpo {__version__}", f"# command: {command}", f"# params: {parts}"]
-    lines.append("# columns: " + ",".join(columns))
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.append("# columns: " + ",".join(names))
+    lines.append(",".join(names))
+    lines += _csv_lines(cols)
     return "\n".join(lines) + "\n"
 
 
-def _write_csv(args, command, extra_meta, columns, rows) -> None:
-    _write_text(args.out, _csv_text(args, command, extra_meta, columns, rows))
+def _write_csv(args, command, extra_meta, names, rows) -> None:
+    _write_text(args.out, _csv_text(args, command, extra_meta, names, zip(*rows)))
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -404,17 +442,18 @@ def _cmd_negativity(args) -> int:
 def _dump_trajectory(args, traj) -> None:
     dec = args.decimate
     idx = args.traj_index
-    cols = ["t"]
+    names = ["t"]
     series = [traj.t[::dec]]
     for name in ("A_i", "A_s", "A_P"):
         arr = getattr(traj, name)
         if arr is None:
             continue
-        cols += [f"re_{name}", f"im_{name}"]
+        names += [f"re_{name}", f"im_{name}"]
         series += [arr[::dec, idx].real, arr[::dec, idx].imag]
-    with open(args.dump_traj, "w") as fh:
-        fh.write(_csv_text(args, "simulate --dump-traj", {"traj_index": idx, "decimate": dec},
-                           cols, zip(*series)))
+    # Always a file: --dump-traj - names a file called "-", not stdout.
+    _rewrite(args.dump_traj, _csv_text(args, "simulate --dump-traj",
+                                       {"traj_index": idx, "decimate": dec},
+                                       names, [s.tolist() for s in series]))
 
 
 def _cmd_simulate(args) -> int:

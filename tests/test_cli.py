@@ -801,6 +801,17 @@ def test_simulate_records_the_pump_only_for_the_dump(capsys, monkeypatch, tmp_pa
     assert "re_A_P,im_A_P" in dump.read_text()
 
 
+def test_dump_traj_dash_rewrites_a_file_named_dash(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-").write_text("x" * 100_000)
+    argv = ["simulate", "--mu", "0.5", "--kappa", "1", *SIM_FAST, "--n-traj", "4",
+            "--t-sample", "30"]
+    rc, out, _ = run(capsys, *argv, "--dump-traj", "-")
+    assert rc == 0 and json.loads(out)["mu"] == 0.5
+    assert run(capsys, *argv, "--dump-traj", "fresh.csv")[0] == 0
+    assert (tmp_path / "-").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
 def test_slow_pump_is_one_plain_line_naming_the_option(capsys):
     notice = ("nmpo simulate: warning: --gammaP 20.0 is below 100 x --gamma0 1.0; "
               "adiabatic pump-elimination formulas will be approximate")
@@ -943,6 +954,29 @@ def test_write_failure_exit_code(capsys, tmp_path):
                      "--out", str(target))
     assert rc == 4
     assert json.loads(err)["error"] == "IOError"
+
+
+def test_out_naming_a_directory_exits_4(capsys, tmp_path):
+    rc, out, err = run(capsys, "phase-diagram", "--mu", "0:2:5", "--kappa", "1",
+                       "--out", str(tmp_path))
+    assert (rc, out) == (4, "")
+    assert json.loads(err)["error"] == "IOError"
+
+
+def test_out_dev_null_is_written_without_cutting(capsys):
+    # ftruncate on a character device raises EINVAL; only regular files are cut.
+    rc, out, err = run(capsys, "variances", "--mu", "0.5", "--kappa", "1",
+                       "--method", "integrate", "--format", "json", "--out", os.devnull)
+    assert (rc, out, err) == (0, "", "")
+
+
+@pytest.mark.parametrize("first, second", [("0:2:201", "0:2:5"), ("0:2:5", "0:2:201")])
+def test_rewriting_an_out_file_leaves_a_fresh_files_bytes(capsys, tmp_path, first, second):
+    reused, fresh = tmp_path / "re.csv", tmp_path / "fresh.csv"
+    for mu, path in ((first, reused), (second, reused), (second, fresh)):
+        assert run(capsys, "phase-diagram", "--mu", mu, "--kappa", "0.2,1",
+                   "--out", str(path))[0] == 0
+    assert reused.read_bytes() == fresh.read_bytes()
 
 
 def test_output_files_are_reproducible(capsys, tmp_path):
