@@ -1,13 +1,16 @@
 """Command-line front end for sweeps and one-shot computations.
 
 Each subcommand takes only the options it reads; an option it does not
-take exits 2.  Outputs are reproducible artifacts: every file starts with a
-metadata header (tool version, subcommand, the options taken, the kappa
-solved, seed) and contains no timestamps, so re-running a command with the
-echoed parameters reproduces the data section byte for byte.  --out
-rewrites an existing file in place and cuts it to the written length, so a
-rerun writes the same bytes as a fresh file.  CSV is long-format, one row
-per grid point.  Exit codes: 0 success, 2 parameter validation (JSON
+take exits 2.  A subcommand's arguments are parsed by that subcommand's
+parser alone; --version, --help and anything that does not start with a
+subcommand go through the top-level parser, with the same results.
+Outputs are reproducible artifacts: every file starts with a metadata
+header (tool version, subcommand, the options taken, the kappa solved,
+seed) and contains no timestamps, so re-running a command with the echoed
+parameters reproduces the data section byte for byte.  --out rewrites an
+existing file in place and cuts it to the written length, so a rerun
+writes the same bytes as a fresh file.  CSV is long-format, one row per
+grid point.  Exit codes: 0 success, 2 parameter validation (JSON
 diagnostics on stderr), 3 numerical failure, 4 I/O failure (a failed write).
 """
 
@@ -181,9 +184,16 @@ def _write_text(path: str, text: str) -> None:
         _rewrite(path, text)
 
 
+# A Phase as _fmt writes it, without reading the Enum's value property.
+_PHASE_TEXT = {ph: ph.value for ph in Phase}
+
+
 def _fmt_column(col) -> list[str]:
-    if {*map(type, col)} <= {float}:
+    types = {*map(type, col)}
+    if types <= {float}:
         return [_FMT % v for v in col]
+    if types == {Phase}:
+        return [*map(_PHASE_TEXT.__getitem__, col)]
     return [_fmt(v) for v in col]
 
 
@@ -687,7 +697,26 @@ def _build_parser() -> _Parser:
                     help="which trajectory to dump (default 0)")
     si.set_defaults(func=_cmd_simulate)
 
+    # Subcommand name -> its parser, for _parse_args.
+    parser.commands = subs.choices
     return parser
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """argv parsed as _build_parser().parse_args(argv) parses it.
+
+    When argv starts with a subcommand, the rest goes straight to that
+    subcommand's parser, which the top-level parser would hand it to after
+    scanning it once itself; its usage errors, help and namespace are the
+    same.  Anything else (--version, -h, an empty argv, an unknown word)
+    goes through the top-level parser.
+    """
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    return sub.parse_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
 
 
 def _run(args) -> int:
@@ -716,10 +745,8 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _run(args)
+        return _run(_parse_args(argv))
     except ParameterError as exc:
         diag = {"error": type(exc).__name__, "violations": exc.violations, "detail": str(exc)}
         print(json.dumps(diag, sort_keys=True), file=sys.stderr)

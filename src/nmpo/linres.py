@@ -51,6 +51,7 @@ from .meanfield import (
     row_residuals,
     steady_row,
     steady_state_branch,
+    steady_state_residual,
 )
 from .model import SystemParams
 
@@ -58,6 +59,7 @@ from .model import SystemParams
 RESIDUAL_TOL = 1e-8
 # Spectral margin below which a state counts as stable.
 STABLE_TOL = 1e-8
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,7 @@ _PUMP = [(2, 2), (5, 5)]
 _DAMPING = [(0, 0), (1, 1), (3, 3), (4, 4)]
 _MEMORY = [(0, 6), (1, 7), (3, 8), (4, 9), (6, 0), (7, 1), (8, 3), (9, 4),
            (6, 6), (7, 7), (8, 8), (9, 9)]
-# State-dependent ones, in the order _generators lists their values:
+# State-dependent ones, in the order _entries lists their values:
 # parametric couplings, then the frame rotation, which mixes the
 # cross-quadrature pairs (x+, y-) and (x-, y+) and, with memory, their
 # memory variables.
@@ -125,6 +127,40 @@ _VARYING = {6: _flat(_COUPLING + _ROTATION, 6),
             10: _flat(_COUPLING + _ROTATION + _MEMORY_ROTATION, 10)}
 
 
+def _entries(params: SystemParams, h, gc, gpc, dlt):
+    """(n, constant values, state-dependent values) of A, in the order of
+    _CONSTANT[n] and _VARYING[n].
+
+    h = gamma0 P / 2 for pump amplitude i P, gc and gpc are gamma0 and
+    gammaP times the signal magnitude over sqrt(2), and dlt is the signed
+    rotation rate: floats for one state, arrays for a row.
+    """
+    g0, gp = params.gamma0, params.gammaP
+    vals = [-h, h, h, -h, gc, gc, -gpc, -gpc, -dlt, -dlt, dlt, dlt]
+    if params.markovian:
+        return 6, [-gp / 2.0] * 2 + [-g0 / 2.0] * 4, vals
+    tau = params.tau_r
+    const = [-gp / 2.0] * 2 + [-0.5] * 4 + [g0 / tau] * 4 + [-1.0 / tau] * 4
+    return 10, const, vals + [-dlt, -dlt, dlt, dlt]
+
+
+def _not_stationary(res) -> InconsistentSteadyState:
+    return InconsistentSteadyState(f"stationarity residual {res:.3e} exceeds {RESIDUAL_TOL:.0e}")
+
+
+_OFF_AXIS = "pump amplitude not on the imaginary axis"
+
+
+def _unresolved(floor) -> EigensolverFailure:
+    # The eigen-solve resolves eigenvalues to about eps times the largest
+    # coupling, gammaP |A| / sqrt(2), which grows as sqrt(mu).  Past the
+    # gauge-mode tolerance the margin is rounding, not physics.
+    return EigensolverFailure(
+        f"drive too large to resolve the spectrum: rounding {floor:.1e} exceeds "
+        f"{_GOLDSTONE_TOL:.0e} gamma0"
+    )
+
+
 def _generators(params: SystemParams, row: SteadyRow) -> np.ndarray:
     """Embedded generators about the states of row, as an (N, n, n) array.
 
@@ -133,37 +169,18 @@ def _generators(params: SystemParams, row: SteadyRow) -> np.ndarray:
     """
     res = row_residuals(params, row)
     if (res > RESIDUAL_TOL).any():
-        first = np.atleast_1d(res)[np.argmax(res > RESIDUAL_TOL)]
-        raise InconsistentSteadyState(
-            f"stationarity residual {first:.3e} exceeds {RESIDUAL_TOL:.0e}"
-        )
+        raise _not_stationary(res[np.argmax(res > RESIDUAL_TOL)])
     pump = row.a_p
     if (abs(pump.real) > 1e-12 * np.maximum(1.0, abs(pump))).any():
-        raise InconsistentSteadyState("pump amplitude not on the imaginary axis")
-    g0, gp = params.gamma0, params.gammaP
-    h = g0 * pump.imag / 2.0
+        raise InconsistentSteadyState(_OFF_AXIS)
+    g0 = params.gamma0
     gc = g0 * row.amp_signal / math.sqrt(2.0)
-    gpc = gp * row.amp_signal / math.sqrt(2.0)
-    # The eigen-solve resolves eigenvalues to about eps times the largest
-    # coupling, gammaP |A| / sqrt(2), which grows as sqrt(mu).  Past the
-    # gauge-mode tolerance the margin is rounding, not physics.
-    floor = np.finfo(float).eps * gpc
+    gpc = params.gammaP * row.amp_signal / math.sqrt(2.0)
+    floor = _EPS * gpc
     if (floor > _GOLDSTONE_TOL * g0).any():
-        first = np.atleast_1d(floor)[np.argmax(floor > _GOLDSTONE_TOL * g0)]
-        raise EigensolverFailure(
-            f"drive too large to resolve the spectrum: rounding {first:.1e} exceeds "
-            f"{_GOLDSTONE_TOL:.0e} gamma0"
-        )
-    dlt = row.rot
-    vals = [-h, h, h, -h, gc, gc, -gpc, -gpc, -dlt, -dlt, dlt, dlt]
-    if params.markovian:
-        n = 6
-        const = [-gp / 2.0] * 2 + [-g0 / 2.0] * 4
-    else:
-        n, tau = 10, params.tau_r
-        const = [-gp / 2.0] * 2 + [-0.5] * 4 + [g0 / tau] * 4 + [-1.0 / tau] * 4
-        vals += [-dlt, -dlt, dlt, dlt]
-    m = np.zeros((np.size(h), n, n))
+        raise _unresolved(floor[np.argmax(floor > _GOLDSTONE_TOL * g0)])
+    n, const, vals = _entries(params, g0 * pump.imag / 2.0, gc, gpc, row.rot)
+    m = np.zeros((len(row.mu), n, n))
     flat = m.reshape(len(m), n * n)
     # Entries are added into zeros, so that zeros come out positive, as
     # when A is filled one entry at a time.  Two terms meet only on the
@@ -182,9 +199,27 @@ def build_embedded_matrix(params: SystemParams, ss: SteadyState) -> np.ndarray:
     the rotation rate z2_branch * delta sits in the entries that mix
     (x+, y-) and (x-, y+), and is zero in a static frame.  Raises
     InconsistentSteadyState when ss is not stationary for params to within
-    RESIDUAL_TOL.
+    RESIDUAL_TOL, and EigensolverFailure when the drive is too large for
+    the spectrum to be resolved.  The one-state case of _generators, with
+    the same checks and entries, computed on Python floats.
     """
-    return _generators(params, SteadyRow.of(params, ss))[0]
+    res = steady_state_residual(params, ss)
+    if res > RESIDUAL_TOL:
+        raise _not_stationary(res)
+    pump = ss.pump_amp
+    if abs(pump.real) > 1e-12 * max(1.0, abs(pump)):
+        raise InconsistentSteadyState(_OFF_AXIS)
+    g0 = params.gamma0
+    gc = g0 * ss.amp_signal / math.sqrt(2.0)
+    gpc = params.gammaP * ss.amp_signal / math.sqrt(2.0)
+    floor = _EPS * gpc
+    if floor > _GOLDSTONE_TOL * g0:
+        raise _unresolved(floor)
+    n, const, vals = _entries(params, g0 * pump.imag / 2.0, gc, gpc, ss.z2_branch * ss.delta)
+    m = np.zeros(n * n)
+    m[_CONSTANT[n]] += const
+    m[_VARYING[n]] += vals
+    return m.reshape(n, n)
 
 
 def build_diffusion(params: SystemParams, ss: SteadyState) -> np.ndarray:
@@ -295,6 +330,18 @@ def _eigvals(mats: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _checked(solve, mats):
+    """solve(mats), with a LAPACK failure or a non-finite eigenvalue raised
+    as an EigensolverFailure."""
+    try:
+        vals = solve(mats)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverFailure(f"eigensolver did not converge: {exc}") from exc
+    if not np.all(np.isfinite(vals)):
+        raise EigensolverFailure("eigensolver returned non-finite eigenvalues")
+    return vals
+
+
 def _spectra(mats: np.ndarray, gauge=None, gauge_tol: float = 0.0):
     """Sorted spectra of a stack of generators and the margin of each.
 
@@ -303,16 +350,10 @@ def _spectra(mats: np.ndarray, gauge=None, gauge_tol: float = 0.0):
     Where gauge is set, the margin skips the gauge zero mode: the first
     eigenvalue of least modulus, when that modulus is below gauge_tol.
     The eigen-solve of a large stack is split between this thread and one
-    persistent helper thread (_eigvals), with the same values bit for bit;
-    a one-matrix stack is solved here.  A LAPACK failure in either half is
-    an EigensolverFailure.
+    persistent helper thread (_eigvals), with the same values bit for bit.
+    A LAPACK failure in either half is an EigensolverFailure.
     """
-    try:
-        vals = _eigvals(mats)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverFailure(f"eigensolver did not converge: {exc}") from exc
-    if not np.all(np.isfinite(vals)):
-        raise EigensolverFailure("eigensolver returned non-finite eigenvalues")
+    vals = _checked(_eigvals, mats)
     rows = np.arange(len(vals))[:, None]
     vals = vals.astype(complex)[rows, np.lexsort((-vals.imag, -vals.real))]
     if gauge is None:
@@ -324,11 +365,19 @@ def _spectra(mats: np.ndarray, gauge=None, gauge_tol: float = 0.0):
     return vals, vals[rows[:, 0], dropped_first.astype(int)].real
 
 
+def _sorted_eigvals(a: np.ndarray) -> list[complex]:
+    """The eigenvalues of one generator a, as complex numbers in the order
+    _spectra gives a row: a stable sort by descending real part, then
+    descending imaginary part (np.lexsort's order)."""
+    vals = _checked(np.linalg.eigvals, a).tolist()
+    return sorted(map(complex, vals), key=lambda z: (-z.real, -z.imag))
+
+
 def eigenspectrum(a: np.ndarray) -> EigenSpectrum:
     """Dense spectrum of the square generator a (build_embedded_matrix)."""
-    vals, max_re = _spectra(a[None])
-    max_re = float(max_re[0])
-    return EigenSpectrum(tuple(vals[0].tolist()), max_re, max_re <= STABLE_TOL)
+    vals = _sorted_eigvals(a)
+    max_re = vals[0].real
+    return EigenSpectrum(tuple(vals), max_re, max_re <= STABLE_TOL)
 
 
 def row_spectra(params: SystemParams, row: SteadyRow, gauge_tol: float | None = None):

@@ -143,7 +143,7 @@ class SteadyRow:
     The array form of SteadyState: state k sits at drive mu[k] in family
     phase[k], with signal magnitude amp_signal[k], mean-field amplitudes
     a_i[k], a_s[k], a_p[k] at t = 0 and signed rotation rate rot[k]
-    (z2_branch * delta).  A row of one state (SteadyRow.of) holds scalars.
+    (z2_branch * delta).
     """
 
     mu: np.ndarray
@@ -153,12 +153,6 @@ class SteadyRow:
     a_s: np.ndarray
     a_p: np.ndarray
     rot: np.ndarray
-
-    @classmethod
-    def of(cls, params: SystemParams, ss: SteadyState) -> "SteadyRow":
-        """The one-state row of ss at drive params.mu."""
-        a_i, a_s, a_p = mode_amplitudes(ss, 0.0)
-        return cls(params.mu, (ss.phase,), ss.amp_signal, a_i, a_s, a_p, ss.z2_branch * ss.delta)
 
 
 def _family(params: SystemParams, phase: Phase, mu):
@@ -242,9 +236,21 @@ def steady_state_residual(params: SystemParams, ss: SteadyState) -> float:
     Signal/idler residuals are normalized by gamma0, the pump residual by
     gammaP max(1, mu), the size of its terms, so the value is scale-free
     and a large drive is not rejected for the rounding of mu + A_i A_s.
-    Exact solutions sit at rounding error (< 1e-10).
+    Exact solutions sit at rounding error (< 1e-10).  The one-state case of
+    row_residuals, in Python complex arithmetic.
     """
-    return float(row_residuals(params, SteadyRow.of(params, ss)))
+    g0, gp, mu = params.gamma0, params.gammaP, params.mu
+    a_i, a_s, a_p = mode_amplitudes(ss, 0.0)
+    rot = ss.z2_branch * ss.delta
+    # Without rotation the kernel is gamma0 exactly; kernel_freq divides as
+    # numpy does, which may round otherwise than Python's complex division.
+    g_i = g_s = complex(g0)
+    if rot:
+        g_i, g_s = kernel_freq(params, -rot), kernel_freq(params, +rot)
+    res_i = 0.5 * (-g_i * a_i + 1j * g0 * a_s.conjugate() * a_p) - 1j * rot * a_i
+    res_s = 0.5 * (-g_s * a_s + 1j * g0 * a_i.conjugate() * a_p) + 1j * rot * a_s
+    res_p = 0.5 * (-gp * a_p + 1j * gp * (a_i * a_s + mu))
+    return max(abs(res_i) / g0, abs(res_s) / g0, abs(res_p) / (gp * max(1.0, mu)))
 
 
 def check_grid(base: SystemParams, mu_grid, kappa_grid, where=None) -> None:

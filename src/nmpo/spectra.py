@@ -267,7 +267,7 @@ def psd(params: SystemParams, ss: SteadyState, omega_grid=None) -> SpectralData:
     a = linres.build_embedded_matrix(params, ss)
     is_marginal = _marginal_rule(a, params.gamma0)
     # Sorted by descending real part: the first stable eigenvalue ends the check.
-    for lam in linres._spectra(a[None])[0][0].tolist():
+    for lam in linres._sorted_eigvals(a):
         if lam.real <= linres.STABLE_TOL:
             break
         if not is_marginal(lam.real, lam.imag):

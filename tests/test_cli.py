@@ -16,6 +16,7 @@ from psd_oracle import default_grid
 import nmpo
 from nmpo import cli, spectra
 from nmpo.cli import main
+from nmpo.errors import ParameterError
 from nmpo.meanfield import Phase
 from nmpo.sde import integrate_trajectory
 
@@ -89,6 +90,83 @@ def test_main_reuses_one_parser_without_leaking_state(capsys):
     assert together == alone
     assert [rc for rc, _, _ in together] == [0, 2, 0, 2, 0, 0, 0, 0]
     assert cli._build_parser.cache_info().misses == 1
+
+
+def _option_argv(action):
+    """An option of a subcommand with a value it parses."""
+    if action.nargs == 0:
+        return [action.option_strings[-1]]
+    if action.choices:
+        value = action.choices[-1]
+    else:
+        value = {int: 3, float: 0.5}.get(action.type, "0.25")
+    return [action.option_strings[-1], str(value)]
+
+
+def _parser_cases():
+    parser = cli._build_parser()
+    yield from ([], ["--version"], ["-h"], ["--help"], ["bogus"], ["--bogus"],
+                ["--bogus", "variances"], ["-h", "variances"])
+    for name, sub in parser.commands.items():
+        yield [name]
+        yield [name, "--help"]
+        yield [name, "-h", "--bogus"]
+        for action in sub._actions:
+            if action.option_strings and action.dest != "help":
+                yield [name, *_option_argv(action)]
+        yield [name, "--mu", "x"]
+        yield [name, "--mu"]
+        yield [name, "--bogus"]
+        yield [name, "--gamma0", "2", "--gamma0", "3"]
+        yield [name, "--kappa", "1", "--tau-r", "2"]
+        yield [name, "--tau-r", "2", "extra", "--out=-"]
+        yield [name, "--", "--mu"]
+
+
+def _parsed(parse, argv, capsys):
+    """What parsing argv gives: a namespace, a usage error or an exit."""
+    try:
+        args = parse(list(argv))
+    except ParameterError as exc:
+        out = ("error", type(exc), str(exc), exc.violations)
+    except SystemExit as exc:
+        out = ("exit", exc.code)
+    else:
+        out = ("parsed", vars(args))
+    return out, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", list(_parser_cases()), ids=lambda a: " ".join(a) or "(empty)")
+def test_dispatch_parses_as_the_top_level_parser(capsys, argv):
+    got = _parsed(cli._parse_args, argv, capsys)
+    want = _parsed(cli._build_parser().parse_args, argv, capsys)
+    assert got == want
+    if got[0][0] == "parsed":
+        assert got[0][1]["func"] is want[0][1]["func"]
+    if got[0][0] == "exit":
+        assert got[1].out
+
+
+def test_subcommand_argv_never_reaches_the_top_level_parser(capsys, monkeypatch):
+    parser = cli._build_parser()
+    seen = []
+    top = parser.parse_known_args  # parse_args goes through it
+
+    def spy(args=None, namespace=None):
+        seen.append(args)
+        return top(args, namespace)
+
+    monkeypatch.setattr(parser, "parse_known_args", spy)
+    for name in parser.commands:
+        with pytest.raises(SystemExit):
+            cli._parse_args([name, "--help"])
+        assert main([name, "--bogus"]) == 2
+    assert main(["steady-state", "--mu", "0.5"]) == 0
+    assert seen == []
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert main(["bogus"]) == 2
+    assert seen == [["--version"], ["bogus"]]
 
 
 # === scalar reports ===========================================================
@@ -555,6 +633,17 @@ def test_failing_grid_points_are_named(capsys):
         "eigenflow point (i=1) mu=1e+30, kappa=1e-05: "
         "drive too large to resolve the spectrum: rounding 1.6e+01 exceeds 1e-06 gamma0"
     )
+
+
+def test_drive_past_spectral_resolution_names_its_variances_point(capsys):
+    rc, out, err = run(capsys, "variances", "--mu", "1e16", "--kappa", "1",
+                       "--method", "integrate")
+    assert (rc, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "EigensolverFailure",
+        "detail": "variances at mu=1e+16, kappa=1.0: drive too large to resolve the "
+        "spectrum: rounding 1.6e-06 exceeds 1e-06 gamma0",
+    }
 
 
 def test_absolute_variance_overflow_exits_3(capsys):

@@ -35,16 +35,26 @@ VALUES = (
 )
 
 
+PHASES = st.sampled_from(list(Phase))
+KINDS = {
+    "float": FLOATS,
+    "one float64": FLOATS,
+    "phase": PHASES,
+    "phase and float": PHASES | FLOATS,
+    "mixed": VALUES,
+}
+
+
 @st.composite
 def tables(draw):
     """Rows of equal width whose columns are Python floats only, Python floats
-    with one np.float64 among them, or any mix of the values nmpo writes."""
+    with one np.float64 among them, phases only, phases and Python floats, or
+    any mix of the values nmpo writes."""
     n_rows = draw(st.integers(0, 6))
     cols = []
     for _ in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(["float", "one float64", "mixed"]))
-        col = draw(st.lists(VALUES if kind == "mixed" else FLOATS,
-                            min_size=n_rows, max_size=n_rows))
+        kind = draw(st.sampled_from(list(KINDS)))
+        col = draw(st.lists(KINDS[kind], min_size=n_rows, max_size=n_rows))
         if kind == "one float64" and col:
             i = draw(st.integers(0, n_rows - 1))
             col[i] = np.float64(col[i])
@@ -56,6 +66,7 @@ def tables(draw):
 @given(tables())
 @example([])
 @example([(1.0, np.float64(1e308)), (-0.0, 5e-324)])
+@example([(Phase.U1, Phase.DISORDERED, 0.5), (Phase.U1XZ2, 2.0, Phase.U1)])
 def test_columns_format_as_the_per_value_join(rows):
     assert list(cli._csv_lines(zip(*rows))) == per_value_lines(zip(*rows))
 

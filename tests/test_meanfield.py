@@ -218,6 +218,12 @@ def test_drives_past_spectral_resolution_are_refused(kappa):
     # to about 1.6e-2: the rotating margin came out as -1.9e-5 for -0.1.
     with pytest.raises(EigensolverFailure, match="drive too large to resolve the spectrum"):
         phase_diagram([1e24], [kappa])
+    # The one-state generator (the variances route) refuses a drive past the
+    # same floor with the same message.
+    p = params(1e16, kappa)
+    with pytest.raises(EigensolverFailure, match=r"^drive too large to resolve the spectrum: "
+                       r"rounding 1\.6e-06 exceeds 1e-06 gamma0$"):
+        build_embedded_matrix(p, steady_state(p))
 
 
 # === phase diagram ============================================================
